@@ -135,9 +135,16 @@ class ReportBatch:
         ]
 
     def select(self, rows) -> "ReportBatch":
-        """A new batch of the given rows (boolean mask or index array)."""
-        return ReportBatch(*(getattr(self, name)[rows]
-                             for name, _ in COLUMNS))
+        """A new batch of the given rows (boolean mask or index array).
+
+        Rows of a validated batch are valid, so the result is built
+        without validating them again.
+        """
+        out = object.__new__(ReportBatch)
+        for name, _ in COLUMNS:
+            object.__setattr__(out, name, np.ascontiguousarray(
+                getattr(self, name)[rows]))
+        return out
 
     def split_by_user(self) -> Iterator[Tuple[int, "ReportBatch"]]:
         """Yield ``(user_id, sub_batch)`` per user, rows in batch order.

@@ -5,8 +5,9 @@ simulated capture while a fault injector attacks it, then checks the
 only invariant that matters for a breath monitor: **after arbitrary
 worker crashes, partitions, and checkpoint corruption, every user's
 final streamed estimate equals the batch pipeline's answer** for the
-same capture (within the 0.1 bpm bound the serve tests pin on the
-clean path).  Faults injected, seeded per run:
+same capture, exactly: recovery re-feeds every lost report, once and
+in order, into bit-exact engines, so any nonzero difference is a lost,
+duplicated or reordered report.  Faults injected, seeded per run:
 
 * ``kill``    — SIGKILL a random worker mid-ingest.  The supervisor
   restarts it from its atomic checkpoint; the ingest client's
@@ -92,7 +93,6 @@ class ChaosConfig:
         speed: replay acceleration (0 = as fast as backpressure
             admits; the default paces the replay so faults land while
             data is in flight).
-        tolerance_bpm: allowed |streamed - batch| per user.
     """
 
     users: int = 4
@@ -105,7 +105,6 @@ class ChaosConfig:
     router_kill: bool = False
     fault_interval_s: float = 2.0
     speed: float = 6.0
-    tolerance_bpm: float = 0.1
 
 
 @dataclass
@@ -144,7 +143,7 @@ class ChaosReport:
             f"{self.resumed_skipped} report(s) resumed past",
             f"invariant: {self.compared_users}/{self.users} users "
             f"compared, max |streamed-batch| = "
-            f"{self.max_delta_bpm:.4f} bpm",
+            f"{self.max_delta_bpm:g} bpm",
             f"verdict: {'OK' if self.ok else 'FAILED'}",
         ]
         lines.extend(f"note: {n}" for n in self.notes)
@@ -310,22 +309,22 @@ async def _run_chaos_async(reports, config: ChaosConfig,
         await _compare_streamed(report, fabric, reports, user_ids, session)
     finally:
         await fabric.stop(graceful=True)
-    _verdict(report, config)
+    _verdict(report)
     return report
 
 
-def _verdict(report: ChaosReport, config: ChaosConfig) -> None:
+def _verdict(report: ChaosReport) -> None:
     faults = report.kills + report.stalls + report.corruptions
     report.ok = True
     if report.missing_users:
         report.ok = False
         report.notes.append(
             f"users lost their session entirely: {report.missing_users}")
-    if report.max_delta_bpm > config.tolerance_bpm:
+    if report.max_delta_bpm != 0.0:
         report.ok = False
         report.notes.append(
-            f"streamed diverged from batch by {report.max_delta_bpm:.4f} "
-            f"bpm (> {config.tolerance_bpm})")
+            f"streamed diverged from batch by {report.max_delta_bpm:g} "
+            f"bpm (must be bit-identical)")
     if faults > 0 and report.restarts_observed == 0:
         report.ok = False
         report.notes.append(
@@ -433,7 +432,7 @@ async def _run_failover_async(reports, config: ChaosConfig,
         if primary.poll() is None:
             primary.kill()
             primary.wait()
-    _verdict(report, config)
+    _verdict(report)
     return report
 
 

@@ -32,11 +32,14 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
+
+import numpy as np
 
 from .. import obs
 from ..core.pipeline import TagBreathe
 from ..errors import CheckpointCorruptError, ProtocolError, ServeError
+from ..reader.batch import ReportBatch
 from .checkpoint import (
     load_checkpoint,
     save_checkpoint,
@@ -61,6 +64,24 @@ ACK_EVERY = 256
 
 #: Per-watcher estimate queue bound; a slower consumer loses the oldest.
 _WATCH_QUEUE = 256
+
+
+def split_by_shard(batch: ReportBatch, n_shards: int
+                   ) -> Iterator[Tuple[int, ReportBatch]]:
+    """Yield ``(shard index, rows)`` for each shard a column frame touches.
+
+    Users map to shards by ``user_id % n_shards``, in one vectorized
+    pass over the user column; rows keep their frame order and shards
+    come in index order.  A frame whose rows all belong to one shard is
+    yielded whole, as the fabric router forwards it per worker.
+    """
+    owner = batch.user_id % np.uint64(n_shards)
+    present = np.unique(owner).tolist()
+    if len(present) == 1:
+        yield present[0], batch
+        return
+    for index in present:
+        yield index, batch.select(owner == index)
 
 
 class _Watcher:
@@ -290,12 +311,19 @@ class BreathServer:
     def checkpoint_now(self) -> int:
         """Write a checkpoint synchronously; returns reports captured.
 
+        Queued reports are ingested first, so the checkpointed sessions
+        hold every report the checkpointed ``seq`` watermarks cover.
+
         Raises:
             ServeError: when no checkpoint path was configured.
         """
         if not self.checkpoint_path:
             raise ServeError("no checkpoint_path configured")
         with obs.span("serve.checkpoint"):
+            # The seq watermarks cover every received report, so the
+            # sessions must hold every received report too.
+            for shard in self._shards:
+                shard.ingest_queued()
             counters = dict(self.counters)
             counters["shed_total"] = self.shed_total()
             n = save_checkpoint(
@@ -639,8 +667,9 @@ class BreathServer:
                         if dropped:
                             batch = batch.select(keep)
                     shard = None
-                    for _uid, sub in batch.split_by_user():
-                        shard = self.shard_for(_uid)
+                    for index, sub in split_by_shard(batch,
+                                                     len(self._shards)):
+                        shard = self._shards[index]
                         shard.submit_batch(sub)
                         touched.add(shard.index)
                     self.counters["reports_total"] += len(batch)

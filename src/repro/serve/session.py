@@ -8,9 +8,8 @@ Eq. 3 differencing cursors and window index as it arrives), and
 maintained state instead of recomputing from scratch and returns a
 memoized estimate when no new reports landed since the last tick — so a
 served estimate is *by construction* the same number the batch pipeline
-computes over the same trailing window (the property
-``tests/test_serve.py`` pins to 0.1 bpm; DESIGN.md §12 explains why the
-streamed and batch numbers are in fact bit-identical).
+computes over the same trailing window (bit-identical: DESIGN.md §12
+explains why, and ``tests/test_serve.py`` asserts exact equality).
 
 Sessions are grouped into :class:`SessionShard` workers (user_id modulo
 shard count), each with its own bounded ingest queue.  The shard is the
@@ -75,7 +74,9 @@ class SessionConfig:
             idle-driven hibernation).
         max_resident: per-shard budget of resident (engine-backed)
             sessions; exceeding it hibernates the least-recently-active
-            sessions until the budget holds (None = unbounded).
+            sessions until the budget holds, checked whenever
+            ``session_for`` opens a session and after each queue entry
+            (None = unbounded).
     """
 
     window_s: Optional[float] = None
@@ -319,11 +320,12 @@ class SessionShard:
             self._below_low.clear()
 
     def submit_batch(self, batch: ReportBatch) -> None:
-        """Enqueue one single-user column batch (counted per report).
+        """Enqueue one column batch of this shard's users (counted per
+        report).
 
         Same never-block/never-raise contract as :meth:`submit`; the
-        batch occupies ``len(batch)`` reports of queue capacity and is
-        ingested by the worker in one ``feed_batch`` call.
+        batch occupies ``len(batch)`` reports of queue capacity, may mix
+        any number of users, and is shed or ingested as one entry.
         """
         if not len(batch):
             return
@@ -383,17 +385,20 @@ class SessionShard:
         """
         session = self.sessions.get(user_id)
         if session is None:
-            doc = self.hibernated.pop(user_id)
-            if doc is not None:
-                session = self._wake(user_id, doc)
-            else:
-                session = UserSession(user_id, self.config,
-                                      engine_factory=self._engine_factory)
-                self.sessions[user_id] = session
-                obs.event("serve.session.open", user_id=user_id,
-                          shard=self.index)
-                obs.gauge("repro_serve_active_sessions").inc()
+            session = self._open(user_id)
             self._enforce_budget(exclude=user_id)
+        return session
+
+    def _open(self, user_id: int) -> UserSession:
+        """Wake or create a non-resident user's session (no budget check)."""
+        doc = self.hibernated.pop(user_id)
+        if doc is not None:
+            return self._wake(user_id, doc)
+        session = UserSession(user_id, self.config,
+                              engine_factory=self._engine_factory)
+        self.sessions[user_id] = session
+        obs.event("serve.session.open", user_id=user_id, shard=self.index)
+        obs.gauge("repro_serve_active_sessions").inc()
         return session
 
     def _wake(self, user_id: int, doc: Dict[str, Any]) -> UserSession:
@@ -504,24 +509,66 @@ class SessionShard:
 
     async def _run(self) -> None:
         while True:
-            entry = await self._queue.get()
-            try:
-                if type(entry) is ReportBatch:
-                    count = len(entry)
-                    session = self.session_for(int(entry.user_id[0]))
-                    session.ingest_batch(entry)
-                else:
-                    count = 1
-                    session = self.session_for(entry.user_id)
-                    session.ingest(entry)
-                message = session.maybe_estimate()
-                if message is not None:
-                    self._publish(message)
-            finally:
-                self._pending -= count
-                self._queue.task_done()
-            if self._pending <= self.config.low:
-                self._below_low.set()
+            self._take(await self._queue.get())
+
+    def ingest_queued(self) -> None:
+        """Ingest every queued entry now, in order, without yielding.
+
+        The server advances a client's ``seq`` watermark when a frame
+        arrives, before the shard ingests it; a checkpoint calls this
+        first so it never records a watermark ahead of the session
+        state (a restart would then skip the queued reports on resume).
+        """
+        while self._queue.qsize():
+            self._take(self._queue.get_nowait())
+
+    def _take(self, entry) -> None:
+        """Ingest one dequeued entry and settle the queue accounting."""
+        count = len(entry) if type(entry) is ReportBatch else 1
+        try:
+            self._ingest_entry(entry)
+        finally:
+            self._pending -= count
+            self._queue.task_done()
+        if self._pending <= self.config.low:
+            self._below_low.set()
+
+    def _ingest_entry(self, entry) -> None:
+        """Feed one queue entry, then publish what its users have due.
+
+        An entry is one report or one column batch, and a batch may mix
+        any of this shard's users (the server queues each frame's rows
+        for a shard as one entry).  Rows go through the per-report
+        :meth:`UserSession.ingest` in arrival order: a live frame
+        carries only a few rows per user, where one scalar ``feed``
+        per row costs a fraction of one ``feed_batch`` call per user,
+        and the two are bit-exact.  Each touched session is then asked
+        for its due estimate once, in order of first appearance, so a
+        frame queued whole publishes the same messages as the same
+        frame queued as one batch per user.
+
+        The resident budget is enforced at the entry boundary only, so
+        no session the walk holds can be hibernated under it; once the
+        entry is done the budget holds again, never evicting the user
+        fed last.
+        """
+        if type(entry) is ReportBatch:
+            rows = zip(entry.user_id.tolist(), entry.to_reports())
+        else:
+            rows = ((entry.user_id, entry),)
+        touched: Dict[int, UserSession] = {}
+        user_id = None
+        for user_id, report in rows:
+            session = touched.get(user_id)
+            if session is None:
+                session = self.sessions.get(user_id) or self._open(user_id)
+                touched[user_id] = session
+            session.ingest(report)
+        for session in touched.values():
+            message = session.maybe_estimate()
+            if message is not None:
+                self._publish(message)
+        self._enforce_budget(exclude=user_id)
 
     def final_estimates(self) -> List[Dict[str, Any]]:
         """One last estimate per live session (the drain farewell)."""

@@ -37,13 +37,13 @@ class TestChaosRun:
         # The invariant held for every subject:
         assert report.compared_users == config.users
         assert not report.missing_users
-        assert report.max_delta_bpm <= config.tolerance_bpm
+        assert report.max_delta_bpm == 0.0
 
     def test_router_kill_fails_over_to_standby_and_matches_batch(
             self, tmp_path):
         """Acceptance: SIGKILL the active router mid-replay; the warm
         standby must promote, the client must reconnect through it, and
-        streamed estimates must still match batch within tolerance."""
+        streamed estimates must still equal batch exactly."""
         config = ChaosConfig(users=2, duration_s=30.0, seed=11,
                              workers=2, router_kill=True,
                              fault_interval_s=1.5, speed=5.0)
@@ -56,4 +56,4 @@ class TestChaosRun:
         # The invariant held for every subject across the failover:
         assert report.compared_users == config.users
         assert not report.missing_users
-        assert report.max_delta_bpm <= config.tolerance_bpm
+        assert report.max_delta_bpm == 0.0

@@ -3,12 +3,15 @@
 Covers the wire protocol, shard backpressure/shed accounting, the
 checkpoint → resume continuity contract, graceful drain, and the
 end-to-end acceptance property: estimates streamed through the real TCP
-service agree with batch ``TagBreathe.process()`` to within 0.1 bpm.
+service equal batch ``TagBreathe.process()`` exactly.
 """
 
 import asyncio
+import dataclasses
+import json
 import warnings
 
+import numpy as np
 import pytest
 
 from repro import Scenario, TagBreathe, run_scenario
@@ -35,7 +38,9 @@ from repro.serve import (
     save_checkpoint,
     watch_estimates,
 )
+from repro.reader.batch import ReportBatch
 from repro.serve.protocol import MAX_FRAME_BYTES, wire_to_report
+from repro.serve.server import split_by_shard
 from repro.sim.trace_io import load_trace_csv, save_trace_csv
 
 
@@ -233,6 +238,189 @@ class TestBackpressure:
 
 
 # ----------------------------------------------------------------------
+# Shard entries: whole multi-user frames vs per-user and per-report
+# ----------------------------------------------------------------------
+def _canonical(message):
+    return json.dumps(message, separators=(",", ":"), sort_keys=True)
+
+
+def _messy_frames(rows_per_frame=40):
+    """3 users + 4 item tags for 30 s, with duplicate, late and
+    invalid-channel rows injected, cut into multi-user column frames."""
+    scenario = Scenario([
+        Subject(user_id=uid, distance_m=3.0,
+                lateral_offset_m=(uid - 2) * 0.8,
+                breathing=MetronomeBreathing(10.0 + 2.0 * uid),
+                sway_seed=uid)
+        for uid in (1, 2, 3)
+    ]).with_contending_tags(4, seed=3)
+    reports = []
+    for i, report in enumerate(
+            run_scenario(scenario, duration_s=30.0, seed=13).reports):
+        reports.append(report)
+        if i % 97 == 5:
+            reports.append(report)  # duplicate
+        if i % 89 == 7:
+            reports.append(dataclasses.replace(
+                report, timestamp_s=report.timestamp_s - 0.5))  # late
+        if i % 83 == 11:
+            reports.append(dataclasses.replace(
+                report, channel_index=63))  # outside the hop table
+    return [ReportBatch.from_reports(reports[lo:lo + rows_per_frame])
+            for lo in range(0, len(reports), rows_per_frame)]
+
+
+#: Short cadence so a 30 s capture publishes many interim estimates.
+_ENTRY_CONFIG = SessionConfig(window_s=20.0, warmup_s=15.0,
+                              estimate_interval_s=2.5)
+
+
+def _shard_messages(frames, n_shards, submit, config=_ENTRY_CONFIG):
+    """Per shard: canonical published messages, then every user's
+    farewell.
+
+    ``submit(shards, batch)`` queues one frame; every shard is drained
+    after each frame, as the oracle of the serve benchmark does.
+    """
+    async def scenario():
+        published = [[] for _ in range(n_shards)]
+        shards = [SessionShard(i, config, published[i].append)
+                  for i in range(n_shards)]
+        for shard in shards:
+            shard.start()
+        try:
+            for batch in frames:
+                submit(shards, batch)
+                for shard in shards:
+                    await shard.drain()
+        finally:
+            for shard in shards:
+                await shard.stop()
+        return ([[_canonical(m) for m in out] for out in published],
+                [_farewells(shard) for shard in shards])
+
+    return run(scenario())
+
+
+def _farewells(shard):
+    """Every owned user's final estimate, waking hibernated users."""
+    messages = (shard.session_for(user_id).estimate_now(final=True)
+                for user_id in shard.user_ids())
+    return [_canonical(m) for m in messages if m is not None]
+
+
+def _submit_whole(shards, batch):
+    for index, sub in split_by_shard(batch, len(shards)):
+        shards[index].submit_batch(sub)
+
+
+def _submit_per_user(shards, batch):
+    for user_id, sub in batch.split_by_user():
+        shards[user_id % len(shards)].submit_batch(sub)
+
+
+def _submit_per_report(shards, batch):
+    for report in batch.to_reports():
+        shards[report.user_id % len(shards)].submit(report)
+
+
+def _feed_batch_messages(frames, n_shards, config=_ENTRY_CONFIG):
+    """The vectorized reference: ``feed_batch`` on each frame's
+    per-user sub-batches, with a tick after each sub-batch."""
+    sessions = {}
+    published = [[] for _ in range(n_shards)]
+    for batch in frames:
+        for user_id, sub in batch.split_by_user():
+            session = sessions.get(user_id)
+            if session is None:
+                session = sessions[user_id] = UserSession(user_id, config)
+            session.ingest_batch(sub)
+            message = session.maybe_estimate()
+            if message is not None:
+                published[user_id % n_shards].append(_canonical(message))
+    farewells = [[] for _ in range(n_shards)]
+    for user_id in sorted(sessions):
+        message = sessions[user_id].estimate_now(final=True)
+        if message is not None:
+            farewells[user_id % n_shards].append(_canonical(message))
+    return published, farewells
+
+
+class TestShardEntries:
+    @pytest.fixture(scope="class")
+    def frames(self):
+        return _messy_frames()
+
+    def test_capture_exercises_every_drop_and_item_tags(self, frames):
+        engine = TagBreathe()
+        for batch in frames:
+            engine.feed_batch(batch)
+        assert all(engine.feed_drop_counts[key] > 0
+                   for key in ("late", "duplicate", "invalid_channel"))
+        users = {int(u) for batch in frames for u in batch.user_id}
+        assert len(users) == 7  # 3 monitored users + 4 item tags
+        assert all(len(set(batch.user_id.tolist())) > 1 for batch in frames)
+
+    @pytest.mark.parametrize("n_shards", [1, 3])
+    def test_whole_frames_publish_what_per_user_batches_do(self, frames,
+                                                           n_shards):
+        whole = _shard_messages(frames, n_shards, _submit_whole)
+        per_user = _shard_messages(frames, n_shards, _submit_per_user)
+        assert whole == per_user
+        assert whole == _feed_batch_messages(frames, n_shards)
+        published, farewells = whole
+        assert sum(map(len, published)) > 10
+        assert all('"drop_counts"' in m for out in farewells for m in out)
+        assert sum(map(len, farewells)) == 7  # item tags tick too
+
+    @pytest.mark.parametrize("n_shards", [1, 3])
+    def test_whole_frames_leave_what_per_report_submits_do(self, frames,
+                                                           n_shards):
+        """Interim ticks fire at entry ends, so their timing follows the
+        entry shape; the drain farewells (every buffered report and drop
+        counter) must not."""
+        _, whole = _shard_messages(frames, n_shards, _submit_whole)
+        _, per_report = _shard_messages(frames, n_shards, _submit_per_report)
+        assert whole == per_report
+
+    def test_split_by_shard_keeps_single_shard_frames_whole(self, frames):
+        batch = frames[0]
+        assert [(0, batch)] == list(split_by_shard(batch, 1))
+        parts = list(split_by_shard(batch, 3))
+        assert [index for index, _ in parts] == sorted(
+            {int(u) % 3 for u in batch.user_id})
+        for index, sub in parts:
+            rows = np.flatnonzero(batch.user_id % np.uint64(3) == index)
+            assert sub.t.tolist() == batch.t[rows].tolist()
+
+    def test_budget_eviction_inside_an_entry_loses_no_row(self):
+        """With ``max_resident=1`` and rows going A, B, A inside one
+        entry, the second A row must reach a live session (not one the
+        budget already hibernated), and every estimate must equal the
+        unbounded shard's."""
+        reports = make_capture(users=2, duration_s=30.0).reports
+        frames = [ReportBatch.from_reports(reports[lo:lo + 200])
+                  for lo in range(0, len(reports), 200)]
+        first = frames[0].user_id.tolist()
+        a = first[0]
+        b = next(u for u in first if u != a)
+        assert a in first[first.index(b):]  # A, B, A inside one entry
+        resident = []
+
+        def submit(shards, batch):
+            resident.append(len(shards[0].sessions))
+            _submit_whole(shards, batch)
+
+        bounded = _shard_messages(
+            frames, 1, submit,
+            config=dataclasses.replace(_ENTRY_CONFIG, max_resident=1))
+        unbounded = _shard_messages(frames, 1, _submit_whole)
+        assert bounded == unbounded
+        assert sum(map(len, unbounded[0])) > 2
+        assert max(resident) == 1  # the budget holds between entries
+
+
+# ----------------------------------------------------------------------
 # Sessions
 # ----------------------------------------------------------------------
 class TestUserSession:
@@ -427,7 +615,7 @@ class TestRestoreDropAccounting:
 # ----------------------------------------------------------------------
 class TestServerEndToEnd:
     def test_replay_estimates_match_batch(self):
-        """Acceptance: 5 users / 60 s streamed vs batch, within 0.1 bpm."""
+        """Acceptance: 5 users / 60 s streamed vs batch, bit-identical."""
         result = make_capture(users=5, duration_s=60.0, seed=11)
         reports = result.reports
 
@@ -461,8 +649,7 @@ class TestServerEndToEnd:
         finals = {m["user_id"]: m for m in collected if m.get("final")}
         assert set(finals) == set(batch)
         for uid, estimate in batch.items():
-            assert finals[uid]["rate_bpm"] == pytest.approx(
-                estimate.rate_bpm, abs=0.1)
+            assert finals[uid]["rate_bpm"] == estimate.rate_bpm
         # Interim estimates were streamed too, not just finals.
         assert len(collected) > len(finals)
 
@@ -495,8 +682,7 @@ class TestServerEndToEnd:
         uninterrupted.feed_many(reports)
         for uid in (1, 2):
             expected = uninterrupted.estimate_user(uid, window_s=40.0)
-            assert finals[uid]["rate_bpm"] == pytest.approx(
-                expected.rate_bpm, abs=0.1)
+            assert finals[uid]["rate_bpm"] == expected.rate_bpm
 
     def test_graceful_drain_notifies_watchers(self):
         result = make_capture(users=1, duration_s=30.0)
@@ -743,6 +929,43 @@ class TestIdempotentResume:
         run(phase_one())
         assert run(phase_two()) == len(reports)
 
+    def test_checkpoint_watermark_never_runs_ahead_of_sessions(
+            self, tmp_path):
+        """A checkpoint taken while received reports still sit in a
+        shard queue must hold them: its watermark already covers them,
+        so a client resuming after a restart would never resend them."""
+        reports = make_capture(users=2, duration_s=10.0).reports[:40]
+        path = str(tmp_path / "serve.ckpt")
+
+        async def scenario():
+            server = BreathServer(port=0, n_shards=2, checkpoint_path=path,
+                                  checkpoint_interval_s=0)
+            await server.start()
+            for shard in server._shards:
+                await shard.stop()  # hold every report in its queue
+            client = IngestClient("127.0.0.1", server.port,
+                                  client_id="reader-3")
+            await client.connect()
+            for seq, report in enumerate(reports, start=1):
+                await client.send_report(report, seq=seq)
+            for _ in range(200):
+                if server.counters["reports_total"] == len(reports):
+                    break
+                await asyncio.sleep(0.01)
+            queued = sum(shard.backlog for shard in server._shards)
+            server.checkpoint_now()
+            saved = load_checkpoint(path)
+            for shard in server._shards:
+                shard.start()
+            await client.close()
+            await server.drain()
+            return queued, saved
+
+        queued, saved = run(scenario())
+        assert queued == len(reports)
+        assert saved["client_seqs"] == {"reader-3": len(reports)}
+        assert sum(s["reports_in"] for s in saved["sessions"]) == len(reports)
+
 
 # ----------------------------------------------------------------------
 # Hibernation (the cold tier, through the real server)
@@ -787,15 +1010,15 @@ class TestHibernation:
         uninterrupted.feed_many(reports)
         for uid in (1, 2):
             expected = uninterrupted.estimate_user(uid, window_s=40.0)
-            assert finals[uid]["rate_bpm"] == pytest.approx(
-                expected.rate_bpm, abs=0.1)
+            assert finals[uid]["rate_bpm"] == expected.rate_bpm
 
     def test_idle_sweep_parks_and_next_report_wakes(self):
         reports = make_capture(users=2, duration_s=40.0).reports
         self._assert_continuity(reports, *self._scenario(reports))
 
     def test_wake_via_binary_column_frames(self):
-        """The wake can land on the batched SoA path (feed_batch)."""
+        """The wake can come from a binary column frame, whose rows the
+        shard walks through the same per-report ingest path."""
         reports = make_capture(users=2, duration_s=40.0).reports
         self._assert_continuity(
             reports, *self._scenario(reports,
@@ -846,8 +1069,7 @@ class TestHibernation:
         uninterrupted.feed_many(reports)
         for uid in (1, 2):
             expected = uninterrupted.estimate_user(uid, window_s=40.0)
-            assert finals[uid]["rate_bpm"] == pytest.approx(
-                expected.rate_bpm, abs=0.1)
+            assert finals[uid]["rate_bpm"] == expected.rate_bpm
 
     def test_idle_sweep_loop_runs_on_its_own(self):
         """With a tiny idle_after_s the background sweep parks sessions
