@@ -40,6 +40,7 @@ from ..errors import ExtractionError
 from ..streams.timeseries import TimeSeries
 from .degradation import REASON_PHASE_DEGRADED, REASON_RSS_FALLBACK
 from .extraction import BreathExtractor, BreathingEstimate
+from .reductions import median
 from .spectral import fft_peak_rate_bpm
 
 @dataclass(frozen=True)
@@ -151,7 +152,7 @@ def track_roughness(track: TimeSeries) -> float:
     """
     if len(track) < 2:
         return 0.0
-    return float(np.median(np.abs(np.diff(track.values))))
+    return median(np.abs(np.diff(track.values)))
 
 
 def select_estimator(config: EstimatorConfig, roughness: float,

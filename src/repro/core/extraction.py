@@ -16,6 +16,7 @@ from ..config import PipelineConfig
 from ..errors import ExtractionError, InsufficientDataError
 from ..streams.timeseries import TimeSeries
 from .filters import detrend_series, fft_lowpass, fir_lowpass
+from .reductions import median
 from .spectral import fft_spectrum
 from .zerocross import instant_rates_bpm, zero_crossing_times
 
@@ -155,7 +156,7 @@ class BreathExtractor:
         rate_series = instant_rates_bpm(
             crossings, buffer_m=self._config.zero_crossing_buffer
         )
-        rate = float(np.median(rate_series.values))
+        rate = median(rate_series.values)
         return BreathingEstimate(
             rate_bpm=rate,
             rate_series=rate_series,

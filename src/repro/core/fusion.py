@@ -22,9 +22,11 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set
 
+import numpy as np
+
 from ..errors import EmptyStreamError, StreamError
 from ..reader.tagreport import TagReport
-from ..streams.resample import bin_mean, bin_sum
+from ..streams.resample import bin_mean, bin_mean_rows, bin_sum
 from ..streams.timeseries import TimeSeries
 from .preprocess import StreamKey
 
@@ -180,3 +182,41 @@ def fuse_sample_streams(
         tags_fused=len(nonempty),
         bin_s=bin_s,
     )
+
+
+def fuse_sample_rows(user_id: int, times: np.ndarray, values: np.ndarray,
+                     lengths: np.ndarray,
+                     bin_s: float = DEFAULT_BIN_S) -> TimeSeries:
+    """:func:`fuse_sample_streams`' track over streams laid end to end.
+
+    ``times``/``values`` hold the per-tag sample streams back to back in
+    fusion order, stream *i* being the next ``lengths[i]`` samples.  As
+    in :func:`fuse_sample_streams`, streams with fewer than 2 samples are
+    left out and the grid spans the rest; all streams are binned in one
+    :func:`~repro.streams.resample.bin_mean_rows` pass and summed in
+    stream order, so the track is bit-identical to
+    ``fuse_sample_streams(...).track`` over the same streams.
+
+    Raises:
+        EmptyStreamError: if no stream has 2 or more samples.
+        StreamError: on a non-positive bin width.
+    """
+    if bin_s <= 0:
+        raise StreamError("bin_s must be > 0")
+    used = lengths >= 2
+    if not used.any():
+        raise EmptyStreamError(f"user {user_id}: no displacement data to fuse")
+    if not used.all():
+        keep = np.repeat(used, lengths)
+        times = times[keep]
+        values = values[keep]
+        lengths = lengths[used]
+    ends = np.cumsum(lengths)
+    lo = float(times[ends - lengths].min())
+    hi = float(times[ends - 1].max()) + 1e-9
+    centers, means = bin_mean_rows(times, values, lengths, bin_s,
+                                   t_start=lo, t_end=hi)
+    fused = means[0]
+    for row in means[1:]:
+        fused = fused + row
+    return TimeSeries.from_trusted(centers, fused)

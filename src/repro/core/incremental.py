@@ -5,16 +5,19 @@ re-gathers, re-sorts, re-differences, re-fuses, and re-filters the whole
 trailing window on every cadence tick.  This module maintains, per user,
 state that is updated once per ``feed()``:
 
-* a :class:`~repro.streams.windowindex.WindowIndex` of timestamp-ordered
-  scalar columns (antenna port, RSSI, stream id), so a trailing window is
-  two binary searches plus contiguous slices instead of a gather + sort;
-* one :class:`~repro.core.preprocess.PhaseChainCursor` per tag stream,
-  holding the Eq. (3) wrapped phase deltas computed once at ingest time.
+* a :class:`~repro.streams.windowindex.WindowIndex` row store of
+  timestamp-ordered scalar columns — antenna port, RSSI, stream id,
+  Doppler, channel, and each report's raw phase plus its Eq. (3)
+  wrapped delta, segment-start flag and chain id, differenced once at
+  ingest — so a trailing window is two binary searches plus contiguous
+  slices instead of a gather + sort + re-difference.
 
 :meth:`IncrementalEstimator.estimate` then replays the *same* six-stage
 algorithm as the batch path — delivery hygiene, antenna failover,
 staleness demotion, gap scoring, Hampel + Eq. (6)/(7) fusion, Eq. (5)
-extraction — over those columns.  Each stage's arithmetic is arranged to
+extraction — over those columns, building every segment, Hampel
+neighbourhood and fusion bin of all the user's streams in one
+vectorized pass.  Each stage's arithmetic is arranged to
 perform the identical float64 operations on the identical values in the
 identical order, so the result is **bit-for-bit equal** to the recompute
 path (``tests/test_incremental.py`` and the hypothesis property in
@@ -43,11 +46,11 @@ from ..config import (
     PipelineConfig,
     RobustnessConfig,
 )
-from ..errors import EmptyStreamError, InsufficientDataError
+from ..errors import EmptyStreamError, InsufficientDataError, StreamError
 from ..reader.tagreport import TagReport
-from ..streams.timeseries import TimeSeries
-from ..streams.windowindex import WindowIndex
+from ..streams.windowindex import GrowableArray, WindowIndex
 from ..streams.windows import trailing_window_bounds
+from ..units import SPEED_OF_LIGHT, wrap_phase_delta
 from .degradation import (
     REASON_ANTENNA_FAILOVER,
     REASON_GAPS,
@@ -61,14 +64,14 @@ from .estimators import (
     track_roughness,
 )
 from .extraction import BreathExtractor, BreathingEstimate
-from .fusion import fuse_sample_streams
+from .fusion import fuse_sample_rows
 from .motion import STILL, apply_motion, score_motion
 from .preprocess import (
     DEFAULT_MIN_SEGMENT_LEN,
-    PhaseChainCursor,
     StreamKey,
-    defer_chains,
-    hampel_filter,
+    chain_deltas,
+    hampel_rows,
+    window_displacement,
 )
 from .quality import quality_score
 
@@ -98,23 +101,60 @@ class TickOutcome:
 class UserStreamState:
     """One user's feed-time incremental state.
 
+    ``index`` is the user's row store: every accepted report as one
+    time-ordered row of scalar columns — antenna port, RSSI, stream id,
+    Doppler, channel, and the Eq. (3) phase state (raw phase, wrapped
+    delta against the previous reading of its chain, segment-start
+    flag, chain id).  A chain is one (stream, channel, antenna) reading
+    sequence; ``chain_of`` numbers them in order of first arrival,
+    ``tails`` holds each chain's latest ``(time, phase)`` and ``coefs``
+    its ``wavelength / (4 pi)``.
+
     ``version`` increments on every mutation (accepted feed, prune) and
     is what the pipeline's estimate memo keys on: a tick at an unchanged
     version returns the cached ``UserEstimate`` without touching any of
     this.
     """
 
-    __slots__ = ("index", "cursors", "keys", "sid_of", "version")
+    __slots__ = ("index", "keys", "sid_of", "chain_of", "tails", "coefs",
+                 "version")
 
     def __init__(self) -> None:
         self.index = WindowIndex({
             "port": np.int64, "rssi": np.float64, "sid": np.int64,
-            "dop": np.float64, "chan": np.int64,
+            "dop": np.float64, "chan": np.int64, "phase": np.float64,
+            "wd": np.float64, "seg": np.bool_, "chain": np.int64,
         })
-        self.cursors: List[PhaseChainCursor] = []
         self.keys: List[StreamKey] = []
         self.sid_of: Dict[StreamKey, int] = {}
+        self.chain_of: Dict[Tuple[int, int, int], int] = {}
+        self.tails: List[Optional[Tuple[float, float]]] = []
+        self.coefs = GrowableArray(np.float64)
         self.version = 0
+
+    def stream_id(self, key: StreamKey) -> int:
+        """The stream's id, assigned in order of first appearance."""
+        sid = self.sid_of.get(key)
+        if sid is None:
+            sid = len(self.keys)
+            self.sid_of[key] = sid
+            self.keys.append(key)
+        return sid
+
+    def chain(self, key: Tuple[int, int, int],
+              coef: float) -> Tuple[int, Optional[Tuple[float, float]]]:
+        """A chain's id and previous ``(time, phase)`` (None when new).
+
+        A new chain gets the next id; the caller records its tail.
+        """
+        cid = self.chain_of.get(key)
+        if cid is not None:
+            return cid, self.tails[cid]
+        cid = len(self.tails)
+        self.chain_of[key] = cid
+        self.tails.append(None)
+        self.coefs.append(coef)
+        return cid, None
 
 
 class IncrementalEstimator:
@@ -130,6 +170,9 @@ class IncrementalEstimator:
         extractor: the shared extraction stage.
         select_antenna: mirror of the engine's antenna-selection flag.
         max_gap_s: segment-splitting gap limit (samples mode).
+
+    Raises:
+        StreamError: on a non-positive gap limit.
     """
 
     def __init__(
@@ -144,12 +187,17 @@ class IncrementalEstimator:
         est_config: Optional[EstimatorConfig] = None,
         estimators: Optional[Dict[str, BreathEstimator]] = None,
     ) -> None:
-        self._frequencies = frequencies_hz
+        if max_gap_s <= 0:
+            raise StreamError("max_gap_s must be > 0")
+        # Per-channel Eq. (1) coefficient, spelled exactly as the batch
+        # segment builder computes it.
+        self._coefs = [(SPEED_OF_LIGHT / f) / (4.0 * np.pi)
+                       for f in frequencies_hz]
         self._config = config
         self._robustness = robustness
         self._extractor = extractor
         self._select_antenna = select_antenna
-        self._max_gap_s = max_gap_s
+        self._max_gap_s = float(max_gap_s)
         self._motion = motion if motion is not None else MotionConfig()
         self._est_config = (est_config if est_config is not None
                             else EstimatorConfig())
@@ -174,42 +222,44 @@ class IncrementalEstimator:
     def nbytes(self, user_id: Optional[int] = None) -> int:
         """Resident numpy bytes of one user's state (or every user's).
 
-        Sums the window-index columns and every chain cursor's packed
-        rows — the allocation-backed cost that hibernation and horizon
-        pruning exist to bound.
+        Sums the row-store columns and the per-chain coefficients — the
+        allocation-backed cost that hibernation and horizon pruning
+        exist to bound.
         """
         states = (self._states.values() if user_id is None
                   else filter(None, [self._states.get(user_id)]))
-        total = 0
-        for state in states:
-            total += state.index.nbytes
-            for cursor in state.cursors:
-                total += cursor.nbytes
-        return total
+        return sum(state.index.nbytes + state.coefs.nbytes
+                   for state in states)
+
+    def _state(self, user_id: int) -> UserStreamState:
+        state = self._states.get(user_id)
+        if state is None:
+            state = UserStreamState()
+            self._states[user_id] = state
+        return state
 
     def ingest(self, report: TagReport) -> None:
-        """Index one accepted report and difference it at its cursor.
+        """Index one accepted report, differenced against its chain.
 
         The caller (``TagBreathe.feed``) has already enforced the stream
         contract: per-stream strictly-increasing timestamps, valid
         channel index, monitored user.
         """
-        state = self._states.get(report.user_id)
-        if state is None:
-            state = UserStreamState()
-            self._states[report.user_id] = state
-        key = report.stream_key
-        sid = state.sid_of.get(key)
-        if sid is None:
-            sid = len(state.keys)
-            state.sid_of[key] = sid
-            state.keys.append(key)
-            state.cursors.append(PhaseChainCursor(
-                self._frequencies, max_gap_s=self._max_gap_s))
-        state.index.add(report.timestamp_s, port=report.antenna_port,
-                        rssi=report.rssi_dbm, sid=sid,
-                        dop=report.doppler_hz, chan=report.channel_index)
-        state.cursors[sid].push(report)
+        state = self._state(report.user_id)
+        sid = state.stream_id(report.stream_key)
+        t = report.timestamp_s
+        phase = report.phase_rad
+        chan = report.channel_index
+        port = report.antenna_port
+        cid, tail = state.chain((sid, chan, port), self._coefs[chan])
+        if tail is None or t - tail[0] > self._max_gap_s or t <= tail[0]:
+            wd, seg = 0.0, True
+        else:
+            wd, seg = wrap_phase_delta(phase - tail[1]), False
+        state.tails[cid] = (t, phase)
+        state.index.add(t, port=port, rssi=report.rssi_dbm, sid=sid,
+                        dop=report.doppler_hz, chan=chan, phase=phase,
+                        wd=wd, seg=seg, chain=cid)
         state.version += 1
 
     def ingest_streams(self, groups: List[Tuple[StreamKey, np.ndarray]],
@@ -222,15 +272,14 @@ class IncrementalEstimator:
 
         The caller (``TagBreathe.feed_batch``) has already screened the
         batch per stream; this ingests every surviving row across all
-        users in three passes — stream-id assignment, per-user window
-        index extension, and one global Eq. (3) chain pass — leaving
-        state bit-identical to calling :meth:`ingest` row by row in
-        arrival order: stream ids are assigned in order of first
-        appearance, each user's index receives its rows as a stable
-        sort by time (what row-wise ``add`` converges to), and each
-        (stream, channel, antenna) chain is differenced in one shot
-        against its cached tail.  ``version`` advances by each user's
-        accepted row count.
+        users in three passes — stream-id assignment, one global Eq. (3)
+        chain pass, and per-user row-store extension — leaving state
+        bit-identical to calling :meth:`ingest` row by row in arrival
+        order: stream and chain ids are assigned in order of first
+        appearance, each chain is differenced in one shot against its
+        cached tail, and each user's index receives its rows as a stable
+        sort by time (what row-wise ``add`` converges to).  ``version``
+        advances by each user's accepted row count.
 
         Args:
             groups: per-stream ``(stream_key, rows)`` pairs — ``rows``
@@ -244,25 +293,67 @@ class IncrementalEstimator:
         """
         if not groups:
             return
-        sids = np.empty(times.shape[0], dtype=np.int64)
-        cursor_of: Dict[StreamKey, PhaseChainCursor] = {}
+        n = times.shape[0]
+        sids = np.empty(n, dtype=np.int64)
         by_user: Dict[int, List[np.ndarray]] = {}
         for key, rows in groups:
             uid = key[0]
-            state = self._states.get(uid)
-            if state is None:
-                state = UserStreamState()
-                self._states[uid] = state
-            sid = state.sid_of.get(key)
-            if sid is None:
-                sid = len(state.keys)
-                state.sid_of[key] = sid
-                state.keys.append(key)
-                state.cursors.append(PhaseChainCursor(
-                    self._frequencies, max_gap_s=self._max_gap_s))
-            sids[rows] = sid
-            cursor_of[key] = state.cursors[sid]
+            sids[rows] = self._state(uid).stream_id(key)
             by_user.setdefault(uid, []).append(rows)
+
+        # Global chain pass: one stable lexsort arranges every accepted
+        # row as contiguous (user, tag, channel, antenna) runs, each in
+        # arrival order; every chain is then differenced in one
+        # vectorized pass seeded from its tail.
+        acc = (np.sort(np.concatenate([rows for _, rows in groups]))
+               if len(groups) > 1 else groups[0][1])
+        au = users[acc]
+        ach = channels[acc]
+        aan = antennas[acc]
+        order = np.lexsort((aan, ach, tags[acc], au))
+        gacc = acc[order]
+        su = au[order]
+        ssid = sids[gacc]
+        sch = ach[order]
+        san = aan[order]
+        m = gacc.shape[0]
+        is_start = np.empty(m, dtype=bool)
+        is_start[0] = True
+        np.not_equal(su[1:], su[:-1], out=is_start[1:])
+        is_start[1:] |= ((ssid[1:] != ssid[:-1]) | (sch[1:] != sch[:-1])
+                         | (san[1:] != san[:-1]))
+        starts = np.flatnonzero(is_start)
+        st = times[gacc]
+        sp = phases[gacc]
+        run_user = su[starts].tolist()
+        run_key = list(zip(ssid[starts].tolist(), sch[starts].tolist(),
+                           san[starts].tolist()))
+        seed_t = st[starts].tolist()
+        seed_p = sp[starts].tolist()
+        run_chain = [0] * len(run_key)
+        # Chain ids in order of each run's first arrival, as row-wise
+        # ingest would number them; a fresh chain seeds with its own
+        # first row (a segment start).
+        for ri in np.argsort(gacc[starts], kind="stable").tolist():
+            key = run_key[ri]
+            cid, tail = self._states[run_user[ri]].chain(
+                key, self._coefs[key[1]])
+            if tail is not None:
+                seed_t[ri], seed_p[ri] = tail
+            run_chain[ri] = cid
+        wd, seg = chain_deltas(st, sp, starts, seed_t, seed_p,
+                               self._max_gap_s)
+        ends = np.append(starts[1:], m) - 1
+        for uid, cid, tail_t, tail_p in zip(run_user, run_chain,
+                                            st[ends].tolist(),
+                                            sp[ends].tolist()):
+            self._states[uid].tails[cid] = (tail_t, tail_p)
+        row_wd = np.empty(n)
+        row_wd[gacc] = wd
+        row_seg = np.empty(n, dtype=bool)
+        row_seg[gacc] = seg
+        row_chain = np.empty(n, dtype=np.int64)
+        row_chain[gacc] = np.repeat(run_chain, np.diff(np.append(starts, m)))
 
         for uid, chunks in by_user.items():
             rows_u = (np.sort(np.concatenate(chunks))
@@ -273,53 +364,32 @@ class IncrementalEstimator:
             tail = state.index.last_time()
             if tail is None or tu[tsort[0]] >= tail:
                 srt = rows_u[tsort]
-                state.index.extend(tu[tsort], port=antennas[srt],
-                                   rssi=rssis[srt], sid=sids[srt],
-                                   dop=dopplers[srt], chan=channels[srt])
+                state.index.extend(
+                    tu[tsort], port=antennas[srt], rssi=rssis[srt],
+                    sid=sids[srt], dop=dopplers[srt], chan=channels[srt],
+                    phase=phases[srt], wd=row_wd[srt], seg=row_seg[srt],
+                    chain=row_chain[srt])
             else:
                 # A straggler lands before the index tail (cross-stream
                 # reordering against previously fed data): rare, row-wise
                 # in arrival order.
                 for i in rows_u.tolist():
-                    state.index.add(float(times[i]), port=int(antennas[i]),
-                                    rssi=float(rssis[i]), sid=int(sids[i]),
-                                    dop=float(dopplers[i]),
-                                    chan=int(channels[i]))
+                    state.index.add(
+                        float(times[i]), port=int(antennas[i]),
+                        rssi=float(rssis[i]), sid=int(sids[i]),
+                        dop=float(dopplers[i]), chan=int(channels[i]),
+                        phase=float(phases[i]), wd=float(row_wd[i]),
+                        seg=bool(row_seg[i]), chain=int(row_chain[i]))
             state.version += rows_u.shape[0]
-
-        # Global chain pass: one stable lexsort arranges every accepted
-        # row as contiguous (user, tag, channel, antenna) runs, each in
-        # arrival order; every chain is then extended from one
-        # vectorized differencing pass.
-        acc = (np.sort(np.concatenate([rows for _, rows in groups]))
-               if len(groups) > 1 else groups[0][1])
-        au = users[acc]
-        atg = tags[acc]
-        ach = channels[acc]
-        aan = antennas[acc]
-        order = np.lexsort((aan, ach, atg, au))
-        gacc = acc[order]
-        su = au[order]
-        stg = atg[order]
-        sch = ach[order]
-        san = aan[order]
-        m = gacc.shape[0]
-        is_start = np.empty(m, dtype=bool)
-        is_start[0] = True
-        np.not_equal(su[1:], su[:-1], out=is_start[1:])
-        is_start[1:] |= ((stg[1:] != stg[:-1]) | (sch[1:] != sch[:-1])
-                         | (san[1:] != san[:-1]))
-        starts = np.flatnonzero(is_start)
-        cursors = [cursor_of[(u, tg)]
-                   for u, tg in zip(su[starts].tolist(),
-                                    stg[starts].tolist())]
-        gkeys = list(zip(sch[starts].tolist(), san[starts].tolist()))
-        defer_chains(cursors, gkeys, starts, times[gacc], phases[gacc],
-                     self._max_gap_s)
 
     def prune_stream(self, user_id: int, key: StreamKey,
                      horizon_s: float) -> None:
-        """Mirror the engine's bounded-memory prune for one stream."""
+        """Mirror the engine's bounded-memory prune for one stream.
+
+        Safe at any cut: a window re-anchors each chain at its first
+        in-window row, so retained deltas stay valid verbatim; chain
+        tails are untouched (pruning only removes from the front).
+        """
         state = self._states.get(user_id)
         if state is None:
             return
@@ -327,9 +397,7 @@ class IncrementalEstimator:
         if sid is None:
             return
         where = state.index.column("sid") == sid
-        dropped = state.index.prune_before(horizon_s, where=where)
-        state.cursors[sid].prune_before(horizon_s)
-        if dropped:
+        if state.index.prune_before(horizon_s, where=where):
             state.version += 1
 
     def reset(self) -> None:
@@ -374,10 +442,10 @@ class IncrementalEstimator:
             a, b = index.window_bounds(lo, hi)
             times = all_times[a:b]
             ports = index.column("port")[a:b]
-            rssis = index.column("rssi")[a:b]
             sids = index.column("sid")[a:b]
-            dops = index.column("dop")[a:b]
-            chans = index.column("chan")[a:b]
+            # Window positions surviving stages 2-3 (None: all of them);
+            # the other columns are gathered once, after the filters.
+            rows: Optional[np.ndarray] = None
             # Stage 1 (delivery hygiene) is a no-op here by construction:
             # feed() enforces per-stream order and dedup and the index
             # keeps global time order, so sanitize_reports would find
@@ -388,24 +456,20 @@ class IncrementalEstimator:
             # batch path: antenna selection exists for phase continuity,
             # while Doppler motion evidence is antenna-agnostic.
             m_times = times
-            m_dops = dops
 
             # Stage 2: antenna selection with failover past dead ports.
             antenna_port: Optional[int] = None
             unique_ports = np.unique(ports)
             if self._select_antenna and unique_ports.size > 1:
                 antenna_port, failed_over = _select_port(
-                    times, ports, rssis, unique_ports, rb.antenna_stale_s)
+                    times, ports, index.column("rssi")[a:b], unique_ports,
+                    rb.antenna_stale_s)
                 if failed_over:
                     reasons.append(REASON_ANTENNA_FAILOVER)
                     confidence *= 0.85
-                keep = ports == antenna_port
-                times = times[keep]
-                sids = sids[keep]
-                ports = ports[keep]
-                rssis = rssis[keep]
-                dops = dops[keep]
-                chans = chans[keep]
+                rows = np.flatnonzero(ports == antenna_port)
+                times = times[rows]
+                sids = sids[rows]
             elif unique_ports.size == 1:
                 antenna_port = int(unique_ports[0])
 
@@ -422,13 +486,14 @@ class IncrementalEstimator:
                     confidence *= max(
                         0.5,
                         (unique_sids.size - len(dead)) / unique_sids.size)
-                    keep = ~np.isin(sids, dead)
-                    times = times[keep]
-                    sids = sids[keep]
-                    ports = ports[keep]
-                    rssis = rssis[keep]
-                    dops = dops[keep]
-                    chans = chans[keep]
+                    live = np.flatnonzero(~np.isin(sids, dead))
+                    rows = live if rows is None else rows[live]
+                    times = times[live]
+                    sids = sids[live]
+
+            def column(name: str) -> np.ndarray:
+                values = index.column(name)[a:b]
+                return values if rows is None else values[rows]
 
             # Stage 4: coverage — long holes in the read times.
             if times.shape[0] > 1:
@@ -445,33 +510,45 @@ class IncrementalEstimator:
             # full-window pre-selection arrays as the batch path).
             motion = STILL
             if self._motion.enabled and m_times.shape[0]:
-                motion = score_motion(m_times, m_dops, self._motion)
+                motion = score_motion(m_times, index.column("dop")[a:b],
+                                      self._motion)
                 confidence = apply_motion(motion, reasons, confidence)
 
         with perf.stage("pipeline.tick.fuse"):
-            # Stage 5: per-tag windowed displacement (from the feed-time
-            # chains) + Hampel + Eq. (6)/(7) fusion.  Stream order is the
-            # first appearance in the surviving windowed reports, exactly
+            # Stage 5: every tag's windowed displacement (from the
+            # feed-time deltas) + Hampel + Eq. (6)/(7) fusion, one
+            # vectorized pass over all streams.  Streams are laid out in
+            # order of first appearance in the surviving window, exactly
             # like group_reports_by_stream on the batch side.
             _, first_pos = np.unique(sids, return_index=True)
             order = sids[np.sort(first_pos)]
-            per_tag: Dict[StreamKey, TimeSeries] = {}
+            rank = np.empty(len(state.keys), dtype=np.int64)
+            rank[order] = np.arange(order.shape[0])
+            kept, values = window_displacement(
+                column("phase"), column("wd"), column("seg"),
+                column("chain"), state.coefs.view(),
+                min_segment_len=DEFAULT_MIN_SEGMENT_LEN)
+            stream_of = rank[sids[kept]]
+            by_stream = np.argsort(stream_of, kind="stable")
+            stream_of = stream_of[by_stream]
+            s_times = times[kept][by_stream]
+            s_values = values[by_stream]
+            lengths = np.bincount(stream_of, minlength=order.shape[0])
+            n_samples = int(kept.shape[0])
             n_rejected = 0
-            for s in order:
-                sid = int(s)
-                stream = state.cursors[sid].window_displacement(
-                    lo, hi, antenna_port=antenna_port,
-                    min_segment_len=DEFAULT_MIN_SEGMENT_LEN)
-                if rb.outlier_rejection and stream:
-                    stream, rejected = hampel_filter(
-                        stream, window=rb.hampel_window,
-                        n_sigmas=rb.hampel_n_sigmas)
-                    n_rejected += rejected
-                per_tag[state.keys[sid]] = stream
-            n_samples = sum(len(s) for s in per_tag.values()) + n_rejected
+            if rb.outlier_rejection:
+                keep, n_rejected = hampel_rows(
+                    s_values, lengths, window=rb.hampel_window,
+                    n_sigmas=rb.hampel_n_sigmas)
+                if n_rejected:
+                    s_times = s_times[keep]
+                    s_values = s_values[keep]
+                    lengths = np.bincount(stream_of[keep],
+                                          minlength=order.shape[0])
             try:
-                fused = fuse_sample_streams(
-                    user_id, per_tag, bin_s=self._config.fusion_bin_s)
+                track = fuse_sample_rows(user_id, s_times, s_values,
+                                         lengths,
+                                         bin_s=self._config.fusion_bin_s)
             except EmptyStreamError as exc:
                 raise InsufficientDataError(str(exc)) from exc
             if n_samples and n_rejected / n_samples > rb.outlier_warn_fraction:
@@ -481,7 +558,7 @@ class IncrementalEstimator:
         with perf.stage("pipeline.tick.extract"):
             # Stage 6: estimator selection + extraction (DESIGN.md §16),
             # identical arithmetic and ordering to the batch path.
-            roughness = track_roughness(fused.track)
+            roughness = track_roughness(track)
             chosen, est_factor = resolve_estimator(
                 self._est_config, roughness, previous_estimator,
                 estimator_override, reasons)
@@ -489,14 +566,14 @@ class IncrementalEstimator:
             # ``tag=sids`` labels the same per-tag groups the batch path
             # labels with tag_id — only the partition is contracted.
             est_window = EstimationWindow(
-                track=fused.track, times=times, rssi=rssis,
-                channel=chans, antenna=ports, tag=sids)
+                track=track, times=times, rssi=column("rssi"),
+                channel=column("chan"), antenna=column("port"), tag=sids)
             estimate = self._estimators[chosen].estimate(est_window)
 
         return TickOutcome(
             estimate=estimate,
             antenna_port=antenna_port,
-            tags_fused=len(per_tag),
+            tags_fused=int(order.shape[0]),
             read_count=int(times.shape[0]),
             confidence=confidence,
             reasons=reasons,

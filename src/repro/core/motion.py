@@ -55,6 +55,7 @@ import numpy as np
 
 from ..config import MotionConfig
 from .degradation import REASON_MOTION
+from .reductions import median
 
 #: Fewest Doppler reports a window needs before the z-test means
 #: anything; below this the detector reports "still" (never gates).
@@ -116,8 +117,8 @@ def score_motion(times: np.ndarray, doppler: np.ndarray,
     if not config.enabled or n < MIN_WINDOW_REPORTS:
         return STILL
 
-    med = float(np.median(doppler))
-    sigma = MAD_TO_SIGMA * float(np.median(np.abs(doppler - med)))
+    med = median(doppler)
+    sigma = MAD_TO_SIGMA * median(np.abs(doppler - med))
     # A degenerate (near-constant) Doppler column has no noise scale to
     # test against; the absolute min_shift_hz floor still applies.
     sigma = max(sigma, 1e-9)

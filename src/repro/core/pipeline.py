@@ -8,8 +8,8 @@ returns per-user estimates; streaming mode (:meth:`TagBreathe.feed` +
 the paper's prototype visualised breathing "in realtime" (Section V).
 
 Batch mode is the *reference implementation*; the streaming tick is
-O(new-samples) — ``feed()`` differences each report once into per-stream
-phase chains and a timestamp-ordered window index, ``estimate_user``
+O(new-samples) — ``feed()`` differences each report once into a per-user
+timestamp-ordered row store, ``estimate_user``
 slices the trailing window out of that state (bit-for-bit equal to the
 from-scratch :meth:`TagBreathe.estimate_user_recompute`), and a tick with
 no new reports returns the memoized ``UserEstimate`` without touching the
@@ -397,8 +397,8 @@ class TagBreathe:
         # Drops incurred while restore_streaming replayed a snapshot —
         # kept apart from live-traffic counters (see last_restore_drop_counts).
         self._last_restore_drops: Dict[str, int] = dict.fromkeys(FEED_DROP_KEYS, 0)
-        # Incremental streaming state (samples mode): per-user window
-        # index + feed-time phase chains, plus the per-(user, window)
+        # Incremental streaming state (samples mode): per-user row
+        # store of feed-time Eq. (3) deltas, plus the per-(user, window)
         # estimate memo keyed by state version.
         self._inc: Optional[IncrementalEstimator] = None
         if incremental and mode == "samples":
@@ -922,8 +922,8 @@ class TagBreathe:
         With incremental state enabled (the default in samples mode) this
         is an O(new-samples) tick: the trailing window
         ``(t_latest - window_s, t_latest]`` is sliced out of the per-user
-        window index, the feed-time phase chains supply the Eq. (3)
-        deltas, and the result is **memoized** — calling again before any
+        row store, whose rows carry the feed-time Eq. (3) deltas, and
+        the result is **memoized** — calling again before any
         new report is accepted returns the same ``UserEstimate`` object
         (and cached insufficient-data failures re-raise) without touching
         the filter.  Cache traffic is counted in
@@ -1089,7 +1089,7 @@ class TagBreathe:
         """Approximate resident bytes of the streaming state.
 
         Sums the incremental estimator's numpy backing (exact — window
-        index plus chain columns, see ``IncrementalEstimator.nbytes``)
+        row store, see ``IncrementalEstimator.nbytes``)
         and the per-stream report buffers (estimated at
         ``_BUFFER_ROW_BYTES`` per row).  This is the per-user cost the
         idle-economics benchmark reports and hibernation reclaims.

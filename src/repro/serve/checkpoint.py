@@ -4,13 +4,13 @@ A serving checkpoint is one JSON document holding, per user, the raw
 reports still inside the engine's bounded streaming window plus the
 session's cadence clock and drop counters.  Raw reports — not derived
 signal state — remain the checkpointed representation even now that the
-engine maintains incremental state (Eq. 3 differencing cursors, the
-per-user window index, the tick memo): that state is a *pure function*
+engine maintains incremental state (the per-user row store of Eq. 3
+phase deltas, the tick memo): that state is a *pure function*
 of the buffered reports, so ``restore_streaming`` rebuilds it
 deterministically by replaying them, and restoring the window restores
 every subsequent estimate bit for bit (``tests/test_serve.py`` asserts
 resume continuity against an uninterrupted run; DESIGN.md §12 covers
-the rebuild contract).  Serialising cursor/cache internals would only
+the rebuild contract).  Serialising row-store/memo internals would only
 buy a faster restore at the price of a schema coupled to pipeline
 internals.  The cost is modest: the window is bounded (~4 analysis
 windows per tag stream), so a checkpoint is O(users), not O(session

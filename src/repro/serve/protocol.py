@@ -179,6 +179,12 @@ def _decode_payload(payload: bytes, codec: str) -> Dict[str, Any]:
             message = msgpack.unpackb(payload, raw=False)
     except (ValueError, UnicodeDecodeError) as exc:
         raise ProtocolError(f"undecodable {codec} payload: {exc}") from exc
+    except RecursionError as exc:
+        # A small frame of nested arrays ([[[...]]]) exhausts the
+        # decoder's recursion limit long before MAX_FRAME_BYTES: it is a
+        # malformed frame like any other, not a crash of the connection.
+        raise ProtocolError(
+            f"undecodable {codec} payload: nested too deeply") from exc
     if not isinstance(message, dict) or "type" not in message:
         raise ProtocolError(
             f"frame payload must be an object with a 'type', got {message!r}")

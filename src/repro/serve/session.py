@@ -3,7 +3,7 @@
 One :class:`UserSession` wraps one :class:`~repro.core.pipeline.TagBreathe`
 engine restricted to a single user and drives the incremental streaming
 path — ``feed()`` per report (which folds the report into the engine's
-Eq. 3 differencing cursors and window index as it arrives), and
+row store of Eq. 3 phase deltas as it arrives), and
 ``estimate_user()`` on a stream-time cadence, which slices the
 maintained state instead of recomputing from scratch and returns a
 memoized estimate when no new reports landed since the last tick — so a
@@ -226,7 +226,7 @@ class UserSession:
         """Load a checkpointed state (inverse of :meth:`state`).
 
         Replaying the checkpointed reports rebuilds the engine's
-        incremental state (differencing cursors, window index)
+        incremental state (the row store of Eq. 3 phase deltas)
         deterministically; the engine keeps replay-time drops separate
         from the restored production counters, and any replay drops —
         normally zero, since the checkpoint holds an already-deduplicated

@@ -127,6 +127,54 @@ def bin_mean(series: TimeSeries, bin_s: float,
     return TimeSeries.from_trusted(centers, means)
 
 
+def bin_mean_rows(times: np.ndarray, values: np.ndarray, lengths: np.ndarray,
+                  bin_s: float, t_start: float,
+                  t_end: float) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`bin_mean` of many series on one shared grid.
+
+    ``times``/``values`` hold the series back to back, series *i* being
+    the next ``lengths[i]`` samples (each strictly increasing in time).
+    The grid is built once; each series is binned with the operations
+    :func:`bin_mean` performs (one set of ``searchsorted`` bin
+    boundaries, differences of the zero-prefixed running sum, the same
+    interpolation of empty bins), so every row is bit-identical to
+    ``bin_mean`` over that series — minus the per-series ``TimeSeries``,
+    validation and second boundary search.  A flat ``bincount`` over all
+    series was measured slower at the two or three series a user has.
+
+    Returns:
+        ``(centers, means)`` with ``means[i]`` series *i*'s binned track.
+
+    Raises:
+        EmptyStreamError: if some series has no sample inside the range.
+    """
+    edges = _bin_edges(t_start, t_end, bin_s)
+    centers = (edges[:-1] + edges[1:]) / 2.0
+    means = np.empty((lengths.shape[0], centers.shape[0]))
+    start = 0
+    for row, n in zip(means, lengths.tolist()):
+        t = times[start: start + n]
+        v = values[start: start + n]
+        start += n
+        if n > _HISTOGRAM_BLOCK:
+            row[:] = bin_mean(TimeSeries.from_trusted(t, v), bin_s,
+                              t_start=t_start, t_end=t_end).values
+            continue
+        idx = np.concatenate((t.searchsorted(edges[:-1], side="left"),
+                              t.searchsorted(edges[-1:], side="right")))
+        counts = np.diff(idx)
+        filled = counts > 0
+        if not filled.any():
+            raise EmptyStreamError(
+                "no samples fall inside the requested bin range")
+        sums = np.diff(np.concatenate((np.zeros(1), v.cumsum()))[idx])
+        row[filled] = sums[filled] / counts[filled]
+        if not filled.all():
+            row[~filled] = np.interp(centers[~filled], centers[filled],
+                                     row[filled])
+    return centers, means
+
+
 def resample_linear(series: TimeSeries, rate_hz: float) -> TimeSeries:
     """Linearly interpolate onto a regular grid at ``rate_hz``.
 

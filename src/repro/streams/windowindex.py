@@ -19,9 +19,10 @@ Mechanics:
 * equal timestamps keep arrival order (stable, like a stable sort of the
   gathered buffers would).
 
-The index stores *derived scalar columns* (port, RSSI, stream id), not
-report objects — the raw reports stay in the engine's per-stream buffers,
-which remain the checkpointed source of truth.
+The index stores *derived scalar columns* (for the pipeline: port, RSSI,
+stream id and each report's Eq. 3 phase state), not report objects —
+the raw reports stay in the engine's per-stream buffers, which remain
+the checkpointed source of truth.
 """
 
 from __future__ import annotations
@@ -35,12 +36,6 @@ from ..errors import StreamError
 #: Initial capacity of a growable column (on first write).
 _MIN_CAPACITY = 64
 
-#: Shared zero-length arrays, one per (dtype, width): a freshly created
-#: column holds one of these until its first write allocates real
-#: capacity, making column creation nearly free (the batched ingest path
-#: can create hundreds of chain columns in one call on a cold engine).
-_EMPTY: dict = {}
-
 
 class GrowableArray:
     """An append-mostly numpy array with amortised O(1) growth.
@@ -52,22 +47,12 @@ class GrowableArray:
 
     Args:
         dtype: element dtype.
-        width: when given, rows are length-``width`` vectors — the array
-            is 2-D with shape ``(n, width)`` and every mutation operates
-            on whole rows.  The phase-chain columns use this to keep one
-            chain's parallel per-sample attributes in a single array
-            (one append per batch instead of one per attribute).
     """
 
     __slots__ = ("_arr", "_n")
 
-    def __init__(self, dtype=np.float64, width: Optional[int] = None) -> None:
-        key = (dtype, width)
-        arr = _EMPTY.get(key)
-        if arr is None:
-            shape = 0 if width is None else (0, width)
-            arr = _EMPTY[key] = np.empty(shape, dtype=dtype)
-        self._arr = arr
+    def __init__(self, dtype=np.float64) -> None:
+        self._arr = np.empty(0, dtype=dtype)
         self._n = 0
 
     def __len__(self) -> int:
@@ -75,7 +60,7 @@ class GrowableArray:
 
     @property
     def capacity(self) -> int:
-        """Allocated slots (rows) in the backing array."""
+        """Allocated slots in the backing array."""
         return int(self._arr.shape[0])
 
     @property
@@ -93,16 +78,17 @@ class GrowableArray:
         cap = max(self._arr.shape[0], _MIN_CAPACITY)
         while cap < need:
             cap *= 2
-        shape = cap if self._arr.ndim == 1 else (cap, self._arr.shape[1])
-        new = np.empty(shape, dtype=self._arr.dtype)
+        new = np.empty(cap, dtype=self._arr.dtype)
         new[: self._n] = self._arr[: self._n]
         self._arr = new
 
     def append(self, value) -> None:
         """Append one value at the back."""
-        self._grow_to(self._n + 1)
-        self._arr[self._n] = value
-        self._n += 1
+        n = self._n
+        if n == self._arr.shape[0]:
+            self._grow_to(n + 1)
+        self._arr[n] = value
+        self._n = n + 1
 
     def extend(self, values: np.ndarray) -> None:
         """Append many values at the back in one copy."""
@@ -157,8 +143,7 @@ class GrowableArray:
             target //= 2
         if target >= cap:
             return
-        shape = target if self._arr.ndim == 1 else (target, self._arr.shape[1])
-        new = np.empty(shape, dtype=self._arr.dtype)
+        new = np.empty(target, dtype=self._arr.dtype)
         new[: self._n] = self._arr[: self._n]
         self._arr = new
 

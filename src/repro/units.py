@@ -122,6 +122,8 @@ def wrap_phase_delta(delta):
     the physical displacement between consecutive reads is far below half a
     wavelength, so the true phase change lies within one half-turn.
     """
-    if np.ndim(delta) == 0:
+    # ``type(...) is float`` first: the per-report ingest path passes
+    # plain floats, and np.ndim costs more than the arithmetic.
+    if type(delta) is float or np.ndim(delta) == 0:
         return (delta + math.pi) % TWO_PI - math.pi
     return (np.asarray(delta, dtype=float) + math.pi) % TWO_PI - math.pi

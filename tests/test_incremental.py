@@ -16,7 +16,14 @@ import pytest
 from repro import Scenario, TagBreathe, obs, run_scenario
 from repro.body import MetronomeBreathing, Subject
 from repro.core.pipeline import FEED_DROP_KEYS
-from repro.core.preprocess import PhaseChainCursor, displacement_samples
+from repro.config import PipelineConfig, RobustnessConfig
+from repro.core.extraction import BreathExtractor
+from repro.core.incremental import IncrementalEstimator
+from repro.core.preprocess import (
+    DEFAULT_SEGMENT_GAP_S,
+    displacement_samples,
+    window_displacement,
+)
 from repro.epc import EPC96
 from repro.errors import DegradedEstimateWarning, InsufficientDataError
 from repro.reader.tagreport import TagReport
@@ -137,65 +144,103 @@ class TestWindowBounds:
 
 
 # ----------------------------------------------------------------------
-# Cursor-level bit-equality against the batch builder
+# Row-store displacement bit-equality against the batch builder
 # ----------------------------------------------------------------------
-class TestPhaseChainCursor:
+class TestFlatWindowDisplacement:
     FREQS = [920.625e6 + 250e3 * k for k in range(16)]
 
     def random_reports(self, n, seed=7):
+        """Three tags on two antenna ports, random channels."""
         rng = np.random.default_rng(seed)
-        epc = EPC96.from_user_tag(1, 0)
         out, t = [], 0.0
         for _ in range(n):
             # Mostly dense reads, occasional segment-splitting gaps.
-            t += (float(rng.uniform(0.02, 0.06)) if rng.random() > 0.02
+            t += (float(rng.uniform(0.005, 0.03)) if rng.random() > 0.005
                   else float(rng.uniform(6.0, 8.0)))
             out.append(TagReport(
-                epc=epc, timestamp_s=t,
+                epc=EPC96.from_user_tag(1, int(rng.integers(0, 3))),
+                timestamp_s=t,
                 phase_rad=float(rng.uniform(0, 2 * np.pi)),
                 rssi_dbm=-60.0, doppler_hz=0.0,
-                channel_index=int(rng.integers(0, 16)), antenna_port=1))
+                channel_index=int(rng.integers(0, 16)),
+                antenna_port=int(rng.integers(1, 3))))
         return out
 
-    def test_window_matches_batch_bit_for_bit(self):
-        reports = self.random_reports(1200)
-        cursor = PhaseChainCursor(self.FREQS)
-        for i, report in enumerate(reports):
-            cursor.push(report)
-            if i % 300 != 299:
-                continue
-            t_hi = report.timestamp_s
-            t_lo = t_hi - 25.0
-            got = cursor.window_displacement(t_lo, t_hi)
+    def estimator(self):
+        return IncrementalEstimator(
+            self.FREQS, PipelineConfig(), RobustnessConfig(),
+            BreathExtractor(), select_antenna=True,
+            max_gap_s=DEFAULT_SEGMENT_GAP_S)
+
+    @staticmethod
+    def window_streams(state, t_lo, t_hi, port=None):
+        """Per-tag displacement from one flat pass over the window rows."""
+        index = state.index
+        a, b = index.window_bounds(t_lo, t_hi)
+        sel = (np.ones(b - a, dtype=bool) if port is None
+               else index.column("port")[a:b] == port)
+
+        def col(name):
+            return index.column(name)[a:b][sel]
+
+        rows, values = window_displacement(
+            col("phase"), col("wd"), col("seg"), col("chain"),
+            state.coefs.view())
+        times = index.times[a:b][sel][rows]
+        sids = col("sid")[rows]
+        return {state.keys[sid][1]: (times[sids == sid], values[sids == sid])
+                for sid in np.unique(sids).tolist()}
+
+    def assert_matches_batch(self, state, reports, t_lo, t_hi, port=None):
+        got = self.window_streams(state, t_lo, t_hi, port=port)
+        windowed = [r for r in reports if t_lo < r.timestamp_s <= t_hi
+                    and (port is None or r.antenna_port == port)]
+        checked = 0
+        for tag in sorted({r.tag_id for r in windowed}):
             want = displacement_samples(
-                [r for r in reports[:i + 1]
-                 if t_lo < r.timestamp_s <= t_hi], self.FREQS)
-            np.testing.assert_array_equal(got.times, want.times)
+                [r for r in windowed if r.tag_id == tag], self.FREQS)
+            times, values = got.pop(tag, (np.empty(0), np.empty(0)))
+            np.testing.assert_array_equal(times, want.times)
             # uint64 view: compares the exact float bit patterns.
             np.testing.assert_array_equal(
-                got.values.view(np.uint64), want.values.view(np.uint64))
+                values.view(np.uint64), want.values.view(np.uint64))
+            checked += len(want)
+        assert not got
+        return checked
 
-    def test_equality_survives_pruning_and_cache_reuse(self):
-        reports = self.random_reports(2000, seed=11)
-        cursor = PhaseChainCursor(self.FREQS)
-        pruned = False
+    def test_window_matches_batch_bit_for_bit(self):
+        reports = self.random_reports(6000)
+        inc = self.estimator()
+        checked = 0
         for i, report in enumerate(reports):
-            cursor.push(report)
-            if i % 250 != 249:
+            inc.ingest(report)
+            if i % 600 != 599:
                 continue
             t_hi = report.timestamp_s
-            cursor.prune_before(t_hi - 60.0)
-            pruned = pruned or any(
-                c.base > 0 for c in cursor._groups.values())
-            got = cursor.window_displacement(t_hi - 25.0, t_hi)
-            want = displacement_samples(
-                [r for r in reports[:i + 1]
-                 if t_hi - 25.0 < r.timestamp_s <= t_hi], self.FREQS)
-            np.testing.assert_array_equal(got.times, want.times)
-            np.testing.assert_array_equal(
-                got.values.view(np.uint64), want.values.view(np.uint64))
-        assert pruned, "scenario never pruned; test lost its teeth"
-        assert any(c.segcache for c in cursor._groups.values())
+            state = inc.state_for(1)
+            for port in (None, 1, 2):
+                checked += self.assert_matches_batch(
+                    state, reports[:i + 1], t_hi - 25.0, t_hi, port=port)
+        assert checked > 10_000
+
+    def test_equality_survives_pruning(self):
+        reports = self.random_reports(9000, seed=11)
+        inc = self.estimator()
+        pruned = 0
+        for i, report in enumerate(reports):
+            inc.ingest(report)
+            if i % 500 != 499:
+                continue
+            t_hi = report.timestamp_s
+            state = inc.state_for(1)
+            before = len(state.index)
+            for key in list(state.keys):
+                inc.prune_stream(1, key, t_hi - 40.0)
+            pruned += before - len(state.index)
+            self.assert_matches_batch(
+                state, reports[:i + 1], t_hi - 25.0, t_hi, port=1)
+        assert pruned > 1000, "scenario never pruned; test lost its teeth"
+        assert float(inc.state_for(1).index.times[0]) > 100.0
 
 
 # ----------------------------------------------------------------------

@@ -214,6 +214,55 @@ def _report_streams(draw):
 _report_streams = st.composite(_report_streams)
 
 
+@st.composite
+def _breathing_feeds(draw):
+    """Breathing-modulated phase for 1-3 tags on 1-2 antenna ports with
+    channel hopping, lambda/4 phase flips (pi jumps Hampel must reject),
+    tag dropouts, and locally shuffled delivery with duplicates; plus a
+    tick cadence in reports."""
+    from repro.core.preprocess import default_frequencies
+    from repro.reader.tagreport import TagReport
+    from repro.units import SPEED_OF_LIGHT
+
+    n_tags = draw(st.integers(min_value=1, max_value=3))
+    ports = draw(st.sampled_from([(1,), (1, 2)]))
+    rate_bpm = draw(st.floats(min_value=8.0, max_value=30.0))
+    duration = draw(st.floats(min_value=20.0, max_value=45.0))
+    flip_p = draw(st.sampled_from([0.0, 0.01, 0.05]))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    freqs = default_frequencies()
+    offsets = rng.uniform(0.0, 2 * np.pi, (n_tags, len(freqs), 3))
+    dead_after = [duration if rng.random() < 0.7 else
+                  float(rng.uniform(5.0, duration)) for _ in range(n_tags)]
+    reports = []
+    t = float(rng.uniform(0.0, 1.0))
+    while t < duration:
+        t += float(rng.exponential(0.01))
+        tag = int(rng.integers(n_tags))
+        if t > dead_after[tag]:
+            continue
+        port = ports[int(rng.integers(len(ports)))]
+        channel = int(t / 0.2) % len(freqs)
+        lam = SPEED_OF_LIGHT / freqs[channel]
+        d = 0.005 * np.sin(2 * np.pi * rate_bpm / 60.0 * t)
+        phase = (4 * np.pi * d / lam + offsets[tag, channel, port]
+                 + rng.normal(0.0, 0.1)
+                 + (np.pi if rng.random() < flip_p else 0.0))
+        reports.append(TagReport(
+            epc=EPC96.from_user_tag(1, tag), timestamp_s=t,
+            phase_rad=float(phase % (2 * np.pi)),
+            rssi_dbm=float(-55.0 - 5.0 * port + rng.normal(0.0, 1.0)),
+            doppler_hz=float(rng.normal(0.0, 0.5)),
+            channel_index=channel, antenna_port=port))
+        if rng.random() < 0.01:
+            reports.append(reports[-1])  # LLRP re-delivery
+    for i in range(0, len(reports) - 1, 97):
+        reports[i], reports[i + 1] = reports[i + 1], reports[i]
+    tick_every = draw(st.integers(min_value=200, max_value=900))
+    return reports, tick_every
+
+
 class TestIncrementalStreamingProperties:
     @staticmethod
     def _tick_pair(engine, window_s=None):
@@ -235,24 +284,61 @@ class TestIncrementalStreamingProperties:
                 rec = ("err", str(exc))
         return inc, rec
 
+    @staticmethod
+    def _assert_bit_equal(inc, rec):
+        """The whole estimate, float bit patterns included."""
+        if isinstance(inc, tuple) or isinstance(rec, tuple):
+            assert inc == rec
+            return
+        bits = np.uint64
+        a, b = inc.estimate, rec.estimate
+        np.testing.assert_array_equal(a.signal.times.view(bits),
+                                      b.signal.times.view(bits))
+        np.testing.assert_array_equal(a.signal.values.view(bits),
+                                      b.signal.values.view(bits))
+        np.testing.assert_array_equal(
+            np.asarray(a.crossings, dtype=float).view(bits),
+            np.asarray(b.crossings, dtype=float).view(bits))
+        np.testing.assert_array_equal(a.rate_series.values.view(bits),
+                                      b.rate_series.values.view(bits))
+        assert np.float64(inc.rate_bpm).view(bits) == \
+            np.float64(rec.rate_bpm).view(bits)
+        assert np.float64(inc.confidence).view(bits) == \
+            np.float64(rec.confidence).view(bits)
+        assert inc.degraded_reasons == rec.degraded_reasons
+        assert inc.tags_fused == rec.tags_fused
+        assert inc.read_count == rec.read_count
+        assert inc.antenna_port == rec.antenna_port
+        assert inc.estimator == rec.estimator
+
+    @settings(max_examples=30, deadline=None)
+    @given(_breathing_feeds())
+    def test_incremental_tick_equals_recompute(self, feed):
+        """Multi-tag, multi-port breathing streams with lambda/4 phase
+        flips (Hampel rejects them), messy delivery, and ticks
+        interleaved with feeds: every incremental tick equals the
+        from-scratch recompute bit for bit — the whole estimate, or the
+        identical refusal."""
+        from repro import TagBreathe
+
+        reports, tick_every = feed
+        engine = TagBreathe(user_ids={1})
+        for i, report in enumerate(reports):
+            engine.feed(report)
+            if i % tick_every == tick_every - 1:
+                self._assert_bit_equal(*self._tick_pair(engine))
+        self._assert_bit_equal(*self._tick_pair(engine))
+
     @settings(max_examples=30, deadline=None)
     @given(_report_streams())
-    def test_incremental_tick_equals_recompute(self, reports):
-        """Whatever mess arrives — shuffled, duplicated, multi-channel —
-        the incremental tick and the from-scratch recompute agree
-        bit-for-bit (identical estimate or identical refusal)."""
+    def test_random_phase_streams_tick_equals_recompute(self, reports):
+        """Whatever mess arrives — shuffled, duplicated, multi-channel
+        random phases — the two paths agree (mostly on the refusal)."""
         from repro import TagBreathe
 
         engine = TagBreathe(user_ids={1})
         engine.feed_many(reports)
-        inc, rec = self._tick_pair(engine)
-        if isinstance(inc, tuple):
-            assert inc == rec
-        else:
-            assert inc.rate_bpm == rec.rate_bpm
-            assert inc.confidence == rec.confidence
-            assert sorted(inc.degraded_reasons) == \
-                sorted(rec.degraded_reasons)
+        self._assert_bit_equal(*self._tick_pair(engine))
 
     @settings(max_examples=20, deadline=None)
     @given(_report_streams())

@@ -13,6 +13,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Scenario, TagBreathe, run_scenario
 from repro.body import MetronomeBreathing, Subject
@@ -39,7 +41,11 @@ from repro.serve import (
     watch_estimates,
 )
 from repro.reader.batch import ReportBatch
-from repro.serve.protocol import MAX_FRAME_BYTES, wire_to_report
+from repro.serve.protocol import (
+    MAX_FRAME_BYTES,
+    encode_column_frame,
+    wire_to_report,
+)
 from repro.serve.server import split_by_shard
 from repro.sim.trace_io import load_trace_csv, save_trace_csv
 
@@ -122,6 +128,101 @@ class TestProtocol:
         assert negotiate_codec("json") == "json"
         assert negotiate_codec("no-such-codec") == "json"
         assert negotiate_codec(None) == "json"
+
+    @pytest.mark.parametrize("depth", [1_000, 50_000])
+    def test_deeply_nested_json_is_protocol_error(self, depth):
+        import struct
+        payload = b"[" * depth + b"]" * depth
+        assert len(payload) < MAX_FRAME_BYTES
+        with pytest.raises(ProtocolError, match="nested too deeply"):
+            FrameDecoder().feed(struct.pack("!I", len(payload)) + payload)
+
+
+def _column_frame(n_rows=5, with_seqs=True):
+    rng = np.random.default_rng(n_rows)
+    batch = ReportBatch(
+        t=np.sort(rng.uniform(0.0, 10.0, n_rows)),
+        phase=rng.uniform(0.0, 6.28, n_rows),
+        rssi=rng.uniform(-70.0, -40.0, n_rows),
+        doppler=rng.normal(0.0, 1.0, n_rows),
+        channel=rng.integers(0, 10, n_rows),
+        antenna=rng.integers(1, 3, n_rows),
+        user_id=rng.integers(1, 4, n_rows),
+        tag_id=rng.integers(0, 3, n_rows))
+    seqs = np.arange(n_rows, dtype=np.uint64) if with_seqs else None
+    return encode_column_frame(batch, seqs=seqs)
+
+
+def _feed_fragments(data, cuts):
+    """Feed ``data`` split at ``cuts``; only ProtocolError may escape.
+
+    Returns the decoded messages (the decoder is dropped at its first
+    ProtocolError, as a connection would be).
+    """
+    decoder = FrameDecoder()
+    bounds = sorted({0, len(data), *(c % (len(data) + 1) for c in cuts)})
+    messages = []
+    try:
+        for lo, hi in zip(bounds, bounds[1:]):
+            messages.extend(decoder.feed(data[lo:hi]))
+    except ProtocolError:
+        pass
+    return messages
+
+
+_frame_bytes = st.one_of(
+    st.binary(max_size=512),
+    # A consistent length prefix over arbitrary payload bytes, so the
+    # payload decoders (JSON and column) see the garbage, not just the
+    # framing.
+    st.binary(max_size=512).map(
+        lambda p: len(p).to_bytes(4, "big") + p),
+    st.binary(max_size=512).map(
+        lambda p: (len(p) + 2).to_bytes(4, "big") + b"\x00C" + p),
+    st.integers(min_value=1, max_value=20_000).map(
+        lambda d: (2 * d).to_bytes(4, "big") + b"[" * d + b"]" * d),
+)
+
+
+class TestDecoderFuzz:
+    """Whatever bytes arrive, in whatever fragments, the decoder either
+    yields messages or raises ProtocolError — never anything else (an
+    escaping exception skips the server's error frame and its
+    protocol-error counter)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_frame_bytes, min_size=1, max_size=4),
+           st.lists(st.integers(min_value=0, max_value=1 << 16),
+                    max_size=8))
+    def test_arbitrary_bytes_only_raise_protocol_error(self, chunks, cuts):
+        _feed_fragments(b"".join(chunks), cuts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=40), st.booleans(),
+           st.lists(st.tuples(st.integers(min_value=0, max_value=1 << 16),
+                              st.integers(min_value=0, max_value=255)),
+                    max_size=6),
+           st.integers(min_value=-64, max_value=64),
+           st.lists(st.integers(min_value=0, max_value=1 << 16),
+                    max_size=8))
+    def test_mutated_column_frames_only_raise_protocol_error(
+            self, n_rows, with_seqs, flips, resize, cuts):
+        frame = bytearray(_column_frame(n_rows, with_seqs))
+        for pos, value in flips:
+            frame[pos % len(frame)] = value
+        if resize < 0:
+            del frame[resize:]
+        else:
+            frame.extend(bytes(resize))
+        messages = _feed_fragments(bytes(frame), cuts)
+        for message in messages:
+            assert isinstance(message, dict) and "type" in message
+
+    def test_unmutated_column_frame_decodes(self):
+        messages = _feed_fragments(_column_frame(7), [3, 11, 40])
+        assert len(messages) == 1
+        assert messages[0]["type"] == "report_batch"
+        assert len(messages[0]["batch"]) == 7
 
 
 # ----------------------------------------------------------------------
@@ -731,6 +832,31 @@ class TestServerEndToEnd:
 
         server, messages = run(scenario())
         assert messages and messages[0]["type"] == "error"
+        assert server.counters["protocol_errors_total"] == 1
+
+    def test_deeply_nested_frame_answered_and_counted(self):
+        """A 2 KB frame of nested arrays is a protocol error like any
+        other: the peer gets an error frame and the counter ticks."""
+        import struct
+
+        payload = b"[" * 1000 + b"]" * 1000
+
+        async def scenario():
+            server = BreathServer(port=0)
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            writer.write(struct.pack("!I", len(payload)) + payload)
+            await writer.drain()
+            data = await asyncio.wait_for(reader.read(1 << 16), timeout=5.0)
+            messages = FrameDecoder().feed(data)
+            writer.close()
+            await server.drain()
+            return server, messages
+
+        server, messages = run(scenario())
+        assert [m["type"] for m in messages] == ["error"]
+        assert "nested too deeply" in messages[0]["message"]
         assert server.counters["protocol_errors_total"] == 1
 
     def test_reconnects_counted(self):
