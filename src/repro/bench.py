@@ -219,10 +219,11 @@ def run_streaming_benchmark(captures: Dict[tuple, SimulationResult],
     """Serve-shaped replay: incremental vs recompute cadence ticks.
 
     Each capture is replayed report-by-report through two engines fed in
-    lockstep — the default incremental engine and a
-    ``incremental=False`` reference that recomputes every tick from the
-    buffered window — and every ``STREAM_CADENCE_S`` of stream time each
-    monitored user is ticked on both, timing the ticks separately.  A
+    lockstep — one ticked incrementally (``estimate_user``) and a
+    reference ticked by ``estimate_user_recompute``, which recomputes
+    every tick from the buffered window — and every
+    ``STREAM_CADENCE_S`` of stream time each monitored user is ticked
+    on both, timing the ticks separately.  A
     third timing re-ticks the incremental engine immediately (no new
     data), measuring the memoized-tick latency a serve deployment pays
     whenever a user's stream was quiet between cadences.
@@ -241,7 +242,7 @@ def run_streaming_benchmark(captures: Dict[tuple, SimulationResult],
     for (users, duration_s), result in sorted(captures.items()):
         user_ids = sorted(result.scenario.monitored_user_ids)
         inc = TagBreathe(user_ids=set(user_ids))
-        rec = TagBreathe(user_ids=set(user_ids), incremental=False)
+        rec = TagBreathe(user_ids=set(user_ids))
         reports = result.reports
         feed_s = inc_s = rec_s = hit_s = 0.0
         ticks = insufficient = 0
@@ -268,7 +269,7 @@ def run_streaming_benchmark(captures: Dict[tuple, SimulationResult],
                     inc_s += time.perf_counter() - t0
                     t0 = time.perf_counter()
                     try:
-                        b = rec.estimate_user(uid)
+                        b = rec.estimate_user_recompute(uid)
                     except InsufficientDataError:
                         b = None
                     rec_s += time.perf_counter() - t0

@@ -45,7 +45,6 @@ from .pipeline import (
     sanitize_reports,
 )
 from .baselines import RSSIBreathEstimator, DopplerBreathEstimator, FFTPeakEstimator
-from .hybrid import HybridBreathEstimator, HybridEstimate, ObservableEstimate
 from .tracking import BreathingRateTracker, TrackedRate, smooth_rate_series
 from .calibration import ChannelCalibration, ChannelCalibrator
 
@@ -82,9 +81,6 @@ __all__ = [
     "RSSIBreathEstimator",
     "DopplerBreathEstimator",
     "FFTPeakEstimator",
-    "HybridBreathEstimator",
-    "HybridEstimate",
-    "ObservableEstimate",
     "BreathingRateTracker",
     "TrackedRate",
     "smooth_rate_series",

@@ -329,12 +329,6 @@ class TagBreathe:
         robustness: graceful-degradation thresholds (Hampel rejection,
             staleness watchdog, antenna failover); defaults preserve
             clean-capture output bit for bit.
-        incremental: maintain feed-time incremental state so streaming
-            ticks are O(new-samples) (samples mode only; increments mode
-            always recomputes — see :mod:`repro.core.incremental`).
-            Disable to benchmark against, or fall back to, the
-            from-scratch recompute path; results are identical either
-            way.
         motion: Doppler motion-detection thresholds (DESIGN.md §16);
             defaults never flag a clean still-subject capture.
         estimators: estimator selection and fallback hysteresis; the
@@ -357,7 +351,6 @@ class TagBreathe:
         max_gap_s: Optional[float] = None,
         smooth_k: int = DEFAULT_SMOOTH_K,
         robustness: Optional[RobustnessConfig] = None,
-        incremental: bool = True,
         motion: Optional[MotionConfig] = None,
         estimators: Optional[EstimatorConfig] = None,
     ) -> None:
@@ -397,11 +390,12 @@ class TagBreathe:
         # Drops incurred while restore_streaming replayed a snapshot —
         # kept apart from live-traffic counters (see last_restore_drop_counts).
         self._last_restore_drops: Dict[str, int] = dict.fromkeys(FEED_DROP_KEYS, 0)
-        # Incremental streaming state (samples mode): per-user row
-        # store of feed-time Eq. (3) deltas, plus the per-(user, window)
-        # estimate memo keyed by state version.
+        # Incremental streaming state (samples mode; increments mode
+        # always recomputes): per-user row store of feed-time Eq. (3)
+        # deltas, plus the per-(user, window) estimate memo keyed by
+        # state version.
         self._inc: Optional[IncrementalEstimator] = None
-        if incremental and mode == "samples":
+        if mode == "samples":
             self._inc = IncrementalEstimator(
                 self._frequencies, self._config, self._robustness,
                 self._extractor, self._select_antenna, self._max_gap_s,
@@ -919,11 +913,10 @@ class TagBreathe:
                       estimator: Optional[str] = None) -> UserEstimate:
         """Estimate from the trailing window of streamed data.
 
-        With incremental state enabled (the default in samples mode) this
-        is an O(new-samples) tick: the trailing window
-        ``(t_latest - window_s, t_latest]`` is sliced out of the per-user
-        row store, whose rows carry the feed-time Eq. (3) deltas, and
-        the result is **memoized** — calling again before any
+        In samples mode this is an O(new-samples) tick: the trailing
+        window ``(t_latest - window_s, t_latest]`` is sliced out of the
+        per-user row store, whose rows carry the feed-time Eq. (3)
+        deltas, and the result is **memoized** — calling again before any
         new report is accepted returns the same ``UserEstimate`` object
         (and cached insufficient-data failures re-raise) without touching
         the filter.  Cache traffic is counted in
@@ -1011,12 +1004,11 @@ class TagBreathe:
         window (:func:`repro.streams.windows.trailing_window_bounds`) and
         runs them through the batch per-user path — O(window) per call.
         This is the oracle :meth:`estimate_user`'s incremental state is
-        validated against, the fallback for ``mode="increments"`` and
-        engines built with ``incremental=False``, and the baseline the
-        serve-capacity benchmark measures against.  Shares the fallback
-        hysteresis memory with :meth:`estimate_user` (the selection is
-        idempotent once the memory holds the choice, so interleaving the
-        two paths cannot diverge).
+        validated against, the tick for ``mode="increments"``, and the
+        baseline the serve-capacity benchmark measures against.  Shares
+        the fallback hysteresis memory with :meth:`estimate_user` (the
+        selection is idempotent once the memory holds the choice, so
+        interleaving the two paths cannot diverge).
 
         Args:
             user_id: the user to estimate.

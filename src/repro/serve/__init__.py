@@ -9,8 +9,8 @@ load shedding, checkpoint/resume, and graceful drain.
 
 Layout:
 
-* :mod:`repro.serve.protocol` — length-prefixed msgpack/JSON framing,
-  report and estimate wire shapes;
+* :mod:`repro.serve.protocol` — length-prefixed JSON and binary column
+  framing, report and estimate wire shapes;
 * :mod:`repro.serve.session` — per-user sessions, sharded workers,
   watermark backpressure and shed-oldest queues;
 * :mod:`repro.serve.checkpoint` — atomic, fsynced, generational
@@ -64,7 +64,6 @@ from .protocol import (
     CODECS,
     COLUMN_FRAME_VERSION,
     FRAME_KINDS,
-    HAVE_MSGPACK,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     FrameDecoder,
@@ -72,7 +71,6 @@ from .protocol import (
     encode_column_frame,
     encode_frame,
     estimate_to_wire,
-    negotiate_codec,
     negotiate_frames,
     report_to_wire,
     wire_to_report,
@@ -98,9 +96,9 @@ __all__ = [
     "IngestClient", "ReplayStats", "replay_trace", "watch_estimates",
     "collect_estimates",
     "FrameDecoder", "encode_frame", "report_to_wire", "wire_to_report",
-    "estimate_to_wire", "negotiate_codec", "negotiate_frames",
+    "estimate_to_wire", "negotiate_frames",
     "encode_column_frame", "decode_column_frame",
-    "PROTOCOL_VERSION", "MAX_FRAME_BYTES", "CODECS", "HAVE_MSGPACK",
+    "PROTOCOL_VERSION", "MAX_FRAME_BYTES", "CODECS",
     "FRAME_KINDS", "COLUMN_FRAME_VERSION",
     "save_checkpoint", "load_checkpoint", "previous_path",
     "session_state_to_doc", "session_state_from_doc",

@@ -113,8 +113,6 @@ class IngestClient:
 
     Args:
         host / port: server address.
-        codec: wire codec to request ("json" always works; "msgpack"
-            falls back to json when either side lacks the library).
         frames: binary frame kinds to request in the handshake (e.g.
             ``("column",)``); the server grants the intersection it
             supports, read back on :attr:`column_frames`.  When the
@@ -141,7 +139,7 @@ class IngestClient:
     """
 
     def __init__(self, host: Optional[str] = None,
-                 port: Optional[int] = None, codec: str = "json",
+                 port: Optional[int] = None,
                  frames: Sequence[str] = (),
                  client_id: Optional[str] = None,
                  connect_timeout_s: Optional[float]
@@ -160,8 +158,6 @@ class IngestClient:
             raise ValueError("IngestClient needs host+port or endpoints")
         self._endpoint_index = 0
         self.host, self.port = self._endpoints[0]
-        self.requested_codec = codec
-        self.codec = codec
         self.requested_frames = tuple(frames)
         #: Frame kinds the server granted (from welcome; empty pre-connect).
         self.frames: tuple = ()
@@ -174,7 +170,7 @@ class IngestClient:
         self.last_seq = 0
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
-        self._decoder = FrameDecoder("json")
+        self._decoder = FrameDecoder()
         self._inbox: List[Dict] = []
         self._nonce = 0
 
@@ -201,16 +197,15 @@ class IngestClient:
             raise ServeTimeoutError(
                 f"connect to {self.host}:{self.port} timed out after "
                 f"{self.connect_timeout_s}s") from None
-        self._decoder = FrameDecoder("json")
+        self._decoder = FrameDecoder()
         self._inbox = []
         try:
-            hello = {"type": "hello", "role": "ingest",
-                     "codec": self.requested_codec}
+            hello = {"type": "hello", "role": "ingest"}
             if self.requested_frames:
                 hello["frames"] = list(self.requested_frames)
             if self.client_id is not None:
                 hello["client_id"] = self.client_id
-            self._writer.write(encode_frame(hello, "json"))
+            self._writer.write(encode_frame(hello))
             await self._writer.drain()
             welcome = await self._read_message(
                 timeout=self.connect_timeout_s)
@@ -222,8 +217,6 @@ class IngestClient:
             # from a clean slate.
             await self._teardown()
             raise
-        self.codec = welcome.get("codec", "json")
-        self._decoder.codec = self.codec
         self.frames = tuple(welcome.get("frames") or ())
         self.last_seq = int(welcome.get("last_seq", 0))
         return welcome
@@ -307,12 +300,12 @@ class IngestClient:
                           seq: Optional[int] = None) -> None:
         """Send one tag report (buffered; flushed by the transport)."""
         self._writer.write(
-            encode_frame(self._report_message(report, seq), self.codec))
+            encode_frame(self._report_message(report, seq)))
         await self._writer.drain()
 
     async def send_message(self, message: Dict) -> None:
         """Send one raw protocol message (fabric control plumbing)."""
-        self._writer.write(encode_frame(message, self.codec))
+        self._writer.write(encode_frame(message))
         await self._writer.drain()
 
     def write_message(self, message: Dict) -> None:
@@ -325,7 +318,7 @@ class IngestClient:
         """
         if self._writer is None or self._writer.is_closing():
             raise ConnectionResetError("link transport is closed")
-        self._writer.write(encode_frame(message, self.codec))
+        self._writer.write(encode_frame(message))
 
     def write_frame(self, data: bytes) -> None:
         """Buffer one pre-encoded frame (column-frame fan-out path).
@@ -483,7 +476,7 @@ class IngestClient:
             if columns:
                 pending.append(report)
             else:
-                data = encode_frame(report_to_wire(report), self.codec)
+                data = encode_frame(report_to_wire(report))
                 self._writer.write(data)
                 stats.bytes_sent += len(data)
                 stats.sent += 1
@@ -549,8 +542,7 @@ class IngestClient:
                         pending.append(report)
                     else:
                         data = encode_frame(
-                            self._report_message(report, index + 1),
-                            self.codec)
+                            self._report_message(report, index + 1))
                         self._writer.write(data)
                         stats.bytes_sent += len(data)
                         stats.sent += 1
@@ -610,7 +602,7 @@ class IngestClient:
         Raises:
             ServeTimeoutError: no ``flushed`` within ``read_timeout_s``.
         """
-        self._writer.write(encode_frame({"type": "flush"}, self.codec))
+        self._writer.write(encode_frame({"type": "flush"}))
         await self._writer.drain()
         while True:
             message = await self._read_message()
@@ -628,7 +620,7 @@ class IngestClient:
             return
         if polite:
             try:
-                self._writer.write(encode_frame({"type": "bye"}, self.codec))
+                self._writer.write(encode_frame({"type": "bye"}))
                 await self._writer.drain()
             except (ConnectionError, OSError):
                 pass
@@ -643,7 +635,6 @@ class IngestClient:
 
 async def watch_estimates(host: str, port: int,
                           user_id: Optional[int] = None,
-                          codec: str = "json",
                           connect_timeout_s: Optional[float]
                           = DEFAULT_CONNECT_TIMEOUT_S,
                           read_timeout_s: Optional[float] = None,
@@ -668,7 +659,7 @@ async def watch_estimates(host: str, port: int,
         raise ServeTimeoutError(
             f"connect to {host}:{port} timed out after "
             f"{connect_timeout_s}s") from None
-    decoder = FrameDecoder("json")
+    decoder = FrameDecoder()
 
     async def _read(n: int, timeout: Optional[float]) -> bytes:
         try:
@@ -687,8 +678,7 @@ async def watch_estimates(host: str, port: int,
             ) from None
 
     try:
-        writer.write(encode_frame(
-            {"type": "hello", "role": "watch", "codec": codec}, "json"))
+        writer.write(encode_frame({"type": "hello", "role": "watch"}))
         watch: Dict = {"type": "watch"}
         if user_id is not None:
             watch["user_id"] = int(user_id)
@@ -704,7 +694,7 @@ async def watch_estimates(host: str, port: int,
                 welcome = messages[0]
         if welcome.get("type") != "welcome":
             raise ServeError(f"handshake failed: {welcome!r}")
-        writer.write(encode_frame(watch, welcome.get("codec", "json")))
+        writer.write(encode_frame(watch))
         await writer.drain()
         while True:
             line = await _readline(read_timeout_s)
@@ -729,7 +719,6 @@ async def watch_estimates(host: str, port: int,
 def replay_trace(source: Union[str, Sequence[TagReport]],
                  host: str, port: int, speed: float = 1.0,
                  client_id: Optional[str] = None,
-                 codec: str = "json",
                  frames: Sequence[str] = ()) -> ReplayStats:
     """Replay a capture file (CSV/JSONL) or report list synchronously.
 
@@ -744,7 +733,7 @@ def replay_trace(source: Union[str, Sequence[TagReport]],
         reports = source
 
     async def _run() -> ReplayStats:
-        client = IngestClient(host, port, codec=codec, frames=frames,
+        client = IngestClient(host, port, frames=frames,
                               client_id=client_id)
         await client.connect()
         try:

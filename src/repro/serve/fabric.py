@@ -66,7 +66,6 @@ from .protocol import (
     FrameDecoder,
     encode_column_frame,
     encode_frame,
-    negotiate_codec,
     negotiate_frames,
     report_to_wire,
 )
@@ -95,12 +94,11 @@ class _Route:
     paused); handlers only hold it while actually forwarding.
     """
 
-    __slots__ = ("client_id", "codec", "links", "lock", "received",
+    __slots__ = ("client_id", "links", "lock", "received",
                  "shed_total", "unsent")
 
-    def __init__(self, client_id: Optional[str], codec: str) -> None:
+    def __init__(self, client_id: Optional[str]) -> None:
         self.client_id = client_id
-        self.codec = codec
         self.links: Dict[int, IngestClient] = {}
         self.lock = asyncio.Lock()
         self.received = 0
@@ -471,25 +469,23 @@ class BreathFabric:
         self.counters["connections_total"] += 1
         obs.counter("repro_fabric_connections_total").inc()
         peer = writer.get_extra_info("peername")
-        decoder = FrameDecoder("json")
-        codec = "json"
+        decoder = FrameDecoder()
         route: Optional[_Route] = None
         try:
             hello = await self._read_one(reader, decoder)
             if hello is None or hello.get("type") != "hello":
                 raise ProtocolError("first frame must be 'hello'")
             role = hello.get("role", "ingest")
-            codec = negotiate_codec(hello.get("codec"))
             client_id = hello.get("client_id")
             if not isinstance(client_id, str):
                 client_id = None
             if role == "watch":
-                await self._serve_watch(reader, writer, decoder, codec)
+                await self._serve_watch(reader, writer, decoder)
                 return
             if role != "ingest":
                 raise ProtocolError(f"unknown role {hello.get('role')!r}")
             frames = negotiate_frames(hello.get("frames"))
-            route = _Route(client_id, codec)
+            route = _Route(client_id)
             # Eager links when resuming matters: the welcome's last_seq
             # must answer the most-rewound worker's watermark, which
             # requires asking all of them before streaming starts.
@@ -503,13 +499,12 @@ class BreathFabric:
             self._routes.add(route)
             writer.write(encode_frame({
                 "type": "welcome", "version": PROTOCOL_VERSION,
-                "codec": codec, "role": "ingest",
+                "codec": "json", "role": "ingest",
                 "frames": list(frames),
                 "draining": self._draining,
                 "last_seq": last_seq,
-            }, "json"))
+            }))
             await writer.drain()
-            decoder.codec = codec
             if self._draining:
                 return
             await self._route_loop(reader, writer, decoder, route)
@@ -517,7 +512,7 @@ class BreathFabric:
             obs.counter("repro_fabric_protocol_errors_total").inc()
             try:
                 writer.write(encode_frame(
-                    {"type": "error", "message": str(exc)}, codec))
+                    {"type": "error", "message": str(exc)}))
                 await writer.drain()
             except (ConnectionError, RuntimeError):
                 pass
@@ -561,7 +556,6 @@ class BreathFabric:
     async def _route_loop(self, reader: asyncio.StreamReader,
                           writer: asyncio.StreamWriter,
                           decoder: FrameDecoder, route: _Route) -> None:
-        codec = route.codec
         while True:
             data = await reader.read(_READ_CHUNK)
             if not data:
@@ -581,7 +575,7 @@ class BreathFabric:
                                 "type": "ack",
                                 "received": route.received,
                                 "shed_total": route.shed_total,
-                            }, codec))
+                            }))
                             await writer.drain()
                     elif mtype == "report_batch":
                         n = await self._forward_batch(route, message)
@@ -592,7 +586,7 @@ class BreathFabric:
                                 "type": "ack",
                                 "received": route.received,
                                 "shed_total": route.shed_total,
-                            }, codec))
+                            }))
                             await writer.drain()
                     elif mtype == "flush":
                         await self._drain_links(route)
@@ -609,7 +603,7 @@ class BreathFabric:
                             "type": "flushed",
                             "received": route.received,
                             "shed_total": route.shed_total,
-                        }, codec))
+                        }))
                         await writer.drain()
                     elif mtype == "ping":
                         stats = await self.fleet_stats()
@@ -620,7 +614,7 @@ class BreathFabric:
                             "reports_total": stats["reports_total"],
                             "shed_total": stats["shed_total"],
                             "draining": self._draining,
-                        }, codec))
+                        }))
                         await writer.drain()
                     elif mtype == "bye":
                         await self._drain_links(route)
@@ -736,7 +730,7 @@ class BreathFabric:
     # ------------------------------------------------------------------
     async def _serve_watch(self, reader: asyncio.StreamReader,
                            writer: asyncio.StreamWriter,
-                           decoder: FrameDecoder, codec: str) -> None:
+                           decoder: FrameDecoder) -> None:
         """Multiplex every worker's estimate stream onto one watcher.
 
         The subscription set is read from the client's first ``watch``
@@ -746,11 +740,10 @@ class BreathFabric:
         """
         writer.write(encode_frame({
             "type": "welcome", "version": PROTOCOL_VERSION,
-            "codec": codec, "role": "watch",
+            "codec": "json", "role": "watch",
             "draining": self._draining, "last_seq": 0,
-        }, "json"))
+        }))
         await writer.drain()
-        decoder.codec = codec
         watch = await self._read_one(reader, decoder)
         if watch is None:
             return

@@ -1,13 +1,9 @@
 """Wire protocol for the streaming ingest service.
 
 Framing is length-prefixed: every message is a 4-byte big-endian payload
-length followed by the encoded payload.  Payloads are JSON objects by
-default; a client whose ``hello`` asks for ``codec="msgpack"`` switches
-both directions to msgpack *if* the library is available on the server
-(it is optional — the container may not ship it), otherwise the server's
-``welcome`` answers with the codec actually in force and the client must
-follow it.  The ``hello``/``welcome`` handshake itself is always JSON so
-the negotiation can never deadlock on an unknown codec.
+length followed by the encoded payload.  Payloads are JSON objects; a
+``hello`` may still carry a ``codec`` request (older clients ask for
+``"msgpack"``), and the ``welcome`` always answers ``codec: "json"``.
 
 Report messages mirror the LLRP low-level report shape of
 :class:`repro.reader.tagreport.TagReport` — the same seven fields
@@ -33,7 +29,7 @@ duplicating data (idempotent resume; the ``welcome`` answers
 ``last_seq``).
 
 ``report_batch`` is the columnar hot path and never exists as a
-json/msgpack object on the wire: a client granted the ``column`` frame
+JSON object on the wire: a client granted the ``column`` frame
 kind in the hello/welcome ``frames`` negotiation sends whole
 :class:`repro.reader.batch.ReportBatch` column blocks as binary frames
 (:func:`encode_column_frame`), ~4x smaller than the per-report JSON
@@ -60,14 +56,6 @@ from ..errors import ProtocolError, ReproError
 from ..reader.batch import ReportBatch
 from ..reader.tagreport import TagReport
 
-try:  # optional accelerated codec; the image may not carry it
-    import msgpack  # type: ignore
-
-    HAVE_MSGPACK = True
-except ImportError:  # pragma: no cover - depends on environment
-    msgpack = None
-    HAVE_MSGPACK = False
-
 #: Protocol version spoken by this module.  v2 added the fabric control
 #: verbs (``ping``/``pong``, ``migrate_out``/``migrate_in``/``migrated``)
 #: and idempotent-resume sequence numbers; v3 added the binary column
@@ -82,14 +70,14 @@ MAX_FRAME_BYTES = 1 << 20
 #: The 4-byte big-endian unsigned length prefix.
 _HEADER = struct.Struct("!I")
 
-#: Codecs a connection may negotiate.  "json" is always available.
-CODECS = ("json",) + (("msgpack",) if HAVE_MSGPACK else ())
+#: Payload codecs this module speaks; a welcome always answers "json".
+CODECS = ("json",)
 
 #: Binary frame kinds a connection may negotiate (hello ``frames`` →
-#: welcome ``frames``).  Unlike codecs, frames are self-describing on
-#: the wire — the column frame's leading magic byte 0x00 can never open
-#: a JSON payload and is not a msgpack map, so the decoder dispatches
-#: per frame and negotiation only gates what a peer may *send*.
+#: welcome ``frames``).  Frames are self-describing on the wire — the
+#: column frame's leading magic byte 0x00 can never open a JSON
+#: payload, so the decoder dispatches per frame and negotiation only
+#: gates what a peer may *send*.
 FRAME_KINDS = ("column",)
 
 #: Column-frame layout: a fixed struct header followed by the packed
@@ -127,18 +115,11 @@ SERVER_TYPES = ("welcome", "ack", "estimate", "flushed", "draining",
                 "error", "pong", "migrated")
 
 
-def negotiate_codec(requested: Optional[str]) -> str:
-    """The codec the server will speak given a client's request."""
-    if requested in CODECS:
-        return requested
-    return "json"
-
-
 def negotiate_frames(requested: Optional[List[str]]) -> Tuple[str, ...]:
     """The binary frame kinds granted from a hello's ``frames`` list.
 
     Unknown kinds are dropped, order and duplicates normalised away; an
-    absent or empty request grants nothing (per-message codec frames
+    absent or empty request grants nothing (per-message JSON frames
     only), which is exactly the pre-v3 behaviour.
     """
     if not requested:
@@ -147,47 +128,28 @@ def negotiate_frames(requested: Optional[List[str]]) -> Tuple[str, ...]:
 
 
 def _check_codec(codec: str) -> None:
-    """Reject a codec this process cannot speak, with a typed reason.
-
-    A *negotiated-but-unavailable* codec (msgpack agreed during a
-    handshake made against a different build, then the library is
-    missing here) is a configuration fault and must fail loudly — a
-    silent JSON fallback would desynchronise the two ends' framing.
-    """
-    if codec == "msgpack" and not HAVE_MSGPACK:
-        raise ProtocolError(
-            "codec 'msgpack' was negotiated but the msgpack library is "
-            "not available in this process")
-    if codec not in ("json", "msgpack"):
+    """Reject any codec but JSON, with a typed reason."""
+    if codec not in CODECS:
         raise ProtocolError(f"unknown codec {codec!r} (available: {CODECS})")
 
 
-def _encode_payload(message: Dict[str, Any], codec: str) -> bytes:
-    _check_codec(codec)
-    if codec == "json":
-        return json.dumps(message, separators=(",", ":"),
-                          sort_keys=True).encode("utf-8")
-    return msgpack.packb(message, use_bin_type=True)
-
-
-def _decode_payload(payload: bytes, codec: str) -> Dict[str, Any]:
-    _check_codec(codec)
+def _decode_payload(payload: bytes) -> Dict[str, Any]:
     try:
-        if codec == "json":
-            message = json.loads(payload.decode("utf-8"))
-        else:
-            message = msgpack.unpackb(payload, raw=False)
+        message = json.loads(payload.decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
-        raise ProtocolError(f"undecodable {codec} payload: {exc}") from exc
+        raise ProtocolError(f"undecodable json payload: {exc}") from exc
     except RecursionError as exc:
         # A small frame of nested arrays ([[[...]]]) exhausts the
         # decoder's recursion limit long before MAX_FRAME_BYTES: it is a
         # malformed frame like any other, not a crash of the connection.
         raise ProtocolError(
-            f"undecodable {codec} payload: nested too deeply") from exc
+            "undecodable json payload: nested too deeply") from exc
     if not isinstance(message, dict) or "type" not in message:
+        # Quote a bounded prefix only: the error reply is itself a frame
+        # and must fit under MAX_FRAME_BYTES whatever the peer sent.
         raise ProtocolError(
-            f"frame payload must be an object with a 'type', got {message!r}")
+            "frame payload must be an object with a 'type', got "
+            f"{type(message).__name__} {payload[:64]!r}")
     return message
 
 
@@ -197,7 +159,9 @@ def encode_frame(message: Dict[str, Any], codec: str = "json") -> bytes:
     Raises:
         ProtocolError: on an unknown codec or an oversized payload.
     """
-    payload = _encode_payload(message, codec)
+    _check_codec(codec)
+    payload = json.dumps(message, separators=(",", ":"),
+                         sort_keys=True).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame payload {len(payload)} bytes exceeds {MAX_FRAME_BYTES}")
@@ -296,17 +260,16 @@ class FrameDecoder:
     """Incremental decoder: feed raw socket bytes, get complete messages.
 
     Tolerates arbitrary fragmentation — a frame may arrive one byte at a
-    time or many frames in one read.  The codec can be switched between
-    frames (after the hello/welcome handshake settles negotiation).
+    time or many frames in one read.
 
     Raises:
-        ProtocolError: on an oversized length prefix or a payload the
-            active codec cannot decode.  The decoder is unusable after —
+        ProtocolError: on an unknown codec, an oversized length prefix
+            or an undecodable payload.  The decoder is unusable after —
             framing has lost sync, the connection must be dropped.
     """
 
     def __init__(self, codec: str = "json") -> None:
-        self.codec = codec
+        _check_codec(codec)
         self._buffer = bytearray()
 
     def pending_bytes(self) -> int:
@@ -331,12 +294,11 @@ class FrameDecoder:
             payload = bytes(self._buffer[_HEADER.size:end])
             del self._buffer[:end]
             # Column frames are self-describing: the magic's leading
-            # 0x00 can never open a JSON payload and is not a msgpack
-            # map, so dispatch ignores the negotiated codec.
+            # 0x00 can never open a JSON payload.
             if payload[:2] == COLUMN_FRAME_MAGIC:
                 messages.append(decode_column_frame(payload))
             else:
-                messages.append(_decode_payload(payload, self.codec))
+                messages.append(_decode_payload(payload))
 
 
 # ----------------------------------------------------------------------

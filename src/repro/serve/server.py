@@ -50,7 +50,6 @@ from .protocol import (
     PROTOCOL_VERSION,
     FrameDecoder,
     encode_frame,
-    negotiate_codec,
     negotiate_frames,
     wire_to_report,
 )
@@ -506,8 +505,7 @@ class BreathServer:
         gauge.inc()
         peer = writer.get_extra_info("peername")
         obs.event("serve.connection.open", peer=str(peer))
-        decoder = FrameDecoder("json")
-        codec = "json"
+        decoder = FrameDecoder()
         role = "ingest"
         watcher: Optional[_Watcher] = None
         write_task: Optional[asyncio.Task] = None
@@ -519,7 +517,6 @@ class BreathServer:
             role = hello.get("role", "ingest")
             if role not in ("ingest", "watch"):
                 raise ProtocolError(f"unknown role {hello.get('role')!r}")
-            codec = negotiate_codec(hello.get("codec"))
             frames = negotiate_frames(hello.get("frames"))
             client_id = hello.get("client_id")
             if not isinstance(client_id, str):
@@ -531,7 +528,7 @@ class BreathServer:
                 self._seen_clients.add(client_id)
             writer.write(encode_frame({
                 "type": "welcome", "version": PROTOCOL_VERSION,
-                "codec": codec, "role": role,
+                "codec": "json", "role": role,
                 "frames": list(frames),
                 "draining": self._draining,
                 # Idempotent resume: the highest report sequence this
@@ -539,9 +536,8 @@ class BreathServer:
                 # so a reconnecting sender knows where to resend from.
                 "last_seq": self._client_seq.get(client_id, 0)
                 if client_id else 0,
-            }, "json"))
+            }))
             await writer.drain()
-            decoder.codec = codec
             if self._draining:
                 return
             if role == "watch":
@@ -550,13 +546,13 @@ class BreathServer:
                 write_task = asyncio.ensure_future(
                     self._watch_writer(writer, watcher))
             received = await self._read_loop(
-                reader, writer, decoder, codec, watcher, client_id)
+                reader, writer, decoder, watcher, client_id)
         except ProtocolError as exc:
             self.counters["protocol_errors_total"] += 1
             obs.counter("repro_serve_protocol_errors_total").inc()
             try:
                 writer.write(encode_frame(
-                    {"type": "error", "message": str(exc)}, codec))
+                    {"type": "error", "message": str(exc)}))
                 await writer.drain()
             except (ConnectionError, RuntimeError):
                 pass
@@ -604,7 +600,7 @@ class BreathServer:
 
     async def _read_loop(self, reader: asyncio.StreamReader,
                          writer: asyncio.StreamWriter,
-                         decoder: FrameDecoder, codec: str,
+                         decoder: FrameDecoder,
                          watcher: Optional[_Watcher],
                          client_id: Optional[str] = None) -> int:
         received = 0
@@ -641,7 +637,7 @@ class BreathServer:
                             "type": "ack", "received": received,
                             "shed_total": self.shed_total(),
                             "backlog": shard.backlog,
-                        }, codec))
+                        }))
                         await writer.drain()
                     if shard.over_high:
                         await shard.wait_below_low()
@@ -678,14 +674,14 @@ class BreathServer:
                             "type": "ack", "received": received,
                             "shed_total": self.shed_total(),
                             "backlog": shard.backlog if shard else 0,
-                        }, codec))
+                        }))
                         await writer.drain()
                     for index in sorted(touched):
                         if self._shards[index].over_high:
                             await self._shards[index].wait_below_low()
                 elif mtype == "ping":
                     writer.write(encode_frame(
-                        self._pong(message), codec))
+                        self._pong(message)))
                     await writer.drain()
                 elif mtype == "migrate_out":
                     docs = await self.migrate_out(
@@ -693,7 +689,7 @@ class BreathServer:
                     writer.write(encode_frame({
                         "type": "migrated", "direction": "out",
                         "sessions": docs,
-                    }, codec))
+                    }))
                     await writer.drain()
                 elif mtype == "migrate_in":
                     try:
@@ -705,7 +701,7 @@ class BreathServer:
                     writer.write(encode_frame({
                         "type": "migrated", "direction": "in",
                         "count": count,
-                    }, codec))
+                    }))
                     await writer.drain()
                 elif mtype == "watch":
                     if watcher is None:
@@ -728,7 +724,7 @@ class BreathServer:
                     writer.write(encode_frame({
                         "type": "flushed", "received": received,
                         "shed_total": self.shed_total(),
-                    }, codec))
+                    }))
                     await writer.drain()
                 elif mtype == "bye":
                     return received

@@ -10,9 +10,10 @@ Two contracts are property-tested here (hypothesis):
   decoder rejects truncated, padded, or corrupted payloads with a typed
   :class:`~repro.errors.ProtocolError` instead of misparsing them.
 
-Example-based tests cover the negotiation edges (msgpack absent, frame
-grant filtering) and the serve-level equivalence: a replay using column
-frames leaves the same session estimates as a per-report replay.
+Example-based tests cover the negotiation edges (an old client asking
+for msgpack against a real server and router, frame grant filtering)
+and the serve-level equivalence: a replay using column frames leaves
+the same session estimates as a per-report replay.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from repro.epc.codec import EPC96
 from repro.errors import DegradedEstimateWarning, ProtocolError
 from repro.reader.batch import ReportBatch
 from repro.reader.tagreport import TagReport
-from repro.serve import protocol
-from repro.serve import BreathServer, IngestClient
+from repro.serve import BreathFabric, BreathServer, FabricConfig, IngestClient
 from repro.serve.protocol import (
     COLUMN_FRAME_MAGIC,
     MAX_FRAME_BYTES,
@@ -40,8 +40,8 @@ from repro.serve.protocol import (
     decode_column_frame,
     encode_column_frame,
     encode_frame,
-    negotiate_codec,
     negotiate_frames,
+    report_to_wire,
 )
 
 
@@ -232,16 +232,101 @@ class TestNegotiation:
             == ("column",)
         assert negotiate_frames(["parquet"]) == ()
 
-    def test_msgpack_absent_falls_back_and_fails_typed(self, monkeypatch):
-        monkeypatch.setattr(protocol, "HAVE_MSGPACK", False)
-        monkeypatch.setattr(protocol, "CODECS", ("json",))
-        assert negotiate_codec("msgpack") == "json"
-        with pytest.raises(ProtocolError, match="msgpack library"):
-            encode_frame({"type": "ping"}, "msgpack")
+    def test_msgpack_hello_answered_json_by_server(self, small_capture):
+        """A client built when msgpack was still offered asks for it;
+        a real server welcomes it with JSON and takes its reports."""
+        async def scenario():
+            server = BreathServer(n_shards=2)
+            await server.start()
+            try:
+                welcome, flushed = await _old_client_replay(
+                    server.port, small_capture)
+                users = {s.user_id for s in server.sessions()}
+            finally:
+                await server.drain()
+            return welcome, flushed, users
+
+        welcome, flushed, users = run(scenario())
+        assert welcome["codec"] == "json"
+        assert flushed["received"] == len(small_capture)
+        assert {1, 2} <= users
+
+    def test_msgpack_hello_answered_json_by_router(self, tmp_path,
+                                                   small_capture):
+        """The same old-client handshake against a real fabric router
+        with one worker behind it."""
+        async def scenario():
+            fabric = BreathFabric(tmp_path, FabricConfig(workers=1))
+            await fabric.start()
+            try:
+                welcome, flushed = await _old_client_replay(
+                    fabric.port, small_capture)
+                stats = await fabric.fleet_stats()
+            finally:
+                await fabric.stop(graceful=True)
+            return welcome, flushed, stats
+
+        welcome, flushed, stats = run(scenario())
+        assert welcome["codec"] == "json"
+        assert flushed["received"] == len(small_capture)
+        assert stats["reports_total"] == len(small_capture)
 
     def test_unknown_codec_fails_typed(self):
         with pytest.raises(ProtocolError, match="unknown codec"):
             encode_frame({"type": "ping"}, "cbor")
+        with pytest.raises(ProtocolError, match="unknown codec"):
+            encode_frame({"type": "ping"}, "msgpack")
+
+
+@pytest.fixture(scope="module")
+def small_capture():
+    """A short two-user capture."""
+    scenario = Scenario([
+        Subject(user_id=uid, distance_m=3.0,
+                lateral_offset_m=(uid - 1.5) * 0.8,
+                breathing=MetronomeBreathing(12.0), sway_seed=uid)
+        for uid in (1, 2)
+    ])
+    return run_scenario(scenario, duration_s=10.0, seed=3).reports
+
+
+async def _old_client_replay(port, reports):
+    """Ingest as a client whose hello still asks for msgpack.
+
+    Speaks the wire by hand, per-report JSON frames then a ``flush``
+    barrier; returns the ``welcome`` and the ``flushed`` messages.
+    """
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    decoder = FrameDecoder()
+    inbox = []
+
+    async def until(mtype):
+        while True:
+            while not inbox:
+                data = await asyncio.wait_for(reader.read(1 << 16),
+                                              timeout=30.0)
+                assert data, "peer closed the connection"
+                inbox.extend(decoder.feed(data))
+            message = inbox.pop(0)
+            assert message["type"] != "error", message
+            if message["type"] == mtype:
+                return message
+
+    try:
+        writer.write(encode_frame({"type": "hello", "role": "ingest",
+                                   "codec": "msgpack"}))
+        await writer.drain()
+        welcome = await until("welcome")
+        for report in reports:
+            writer.write(encode_frame(report_to_wire(report)))
+        writer.write(encode_frame({"type": "flush"}))
+        await writer.drain()
+        flushed = await until("flushed")
+        writer.write(encode_frame({"type": "bye"}))
+        await writer.drain()
+    finally:
+        writer.close()
+    return welcome, flushed
 
 
 # ----------------------------------------------------------------------

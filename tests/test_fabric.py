@@ -2,14 +2,13 @@
 
 Covers the consistent-hash ring's contract (stability, balance,
 minimal movement under membership change — property-tested with
-hypothesis), the shared retry policy, worker portfile discovery, and
-the end-to-end recovery acceptance: a worker SIGKILLed mid-replay is
+hypothesis), the shared retry policy, and the end-to-end recovery
+acceptance: a worker SIGKILLed mid-replay is
 restarted from its checkpoint and the final streamed estimates still
 match the uninterrupted batch pipeline within 0.1 bpm.
 """
 
 import asyncio
-import json
 import os
 import signal
 import warnings
@@ -49,10 +48,7 @@ from repro.serve.statefiles import (
 from repro.serve.supervisor import Supervisor, WorkerHandle
 from repro.serve.worker import (
     parse_addr,
-    portfile_path,
-    read_portfile,
     register_with,
-    write_portfile,
 )
 
 
@@ -216,24 +212,6 @@ class TestRetryPolicy:
                              multiplier=3.0, max_delay_s=1.0, jitter=jitter)
         for delay in policy.delays(seed=seed):
             assert delay <= 1.0 * (1.0 + jitter) + 1e-12
-
-
-# ----------------------------------------------------------------------
-# Worker port discovery
-# ----------------------------------------------------------------------
-class TestPortfile:
-    def test_roundtrip(self, tmp_path):
-        path = portfile_path(tmp_path, 3)
-        write_portfile(path, port=54321, pid=999)
-        assert read_portfile(path) == {"port": 54321, "pid": 999}
-
-    def test_torn_or_absent_reads_as_none(self, tmp_path):
-        path = portfile_path(tmp_path, 0)
-        assert read_portfile(path) is None  # absent
-        path.write_text('{"port": 1')  # torn mid-write
-        assert read_portfile(path) is None
-        path.write_text(json.dumps({"port": "not-a-port"}))
-        assert read_portfile(path) is None
 
 
 # ----------------------------------------------------------------------

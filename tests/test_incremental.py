@@ -27,7 +27,7 @@ from repro.core.preprocess import (
 from repro.epc import EPC96
 from repro.errors import DegradedEstimateWarning, InsufficientDataError
 from repro.reader.tagreport import TagReport
-from repro.streams import GrowableArray, WindowIndex, trailing_window_bounds
+from repro.streams import GrowableArray, trailing_window_bounds
 from repro.streams.windows import StreamError
 
 
@@ -249,7 +249,7 @@ class TestFlatWindowDisplacement:
 class TestIncrementalEquivalence:
     def test_interleaved_ticks_match_recompute(self, capture):
         inc = TagBreathe(user_ids={1, 2})
-        ref = TagBreathe(user_ids={1, 2}, incremental=False)
+        ref = TagBreathe(user_ids={1, 2})
         next_tick, matched = 20.0, 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedEstimateWarning)
@@ -262,19 +262,6 @@ class TestIncrementalEquivalence:
                         if tick_both(inc, ref, uid) is not None:
                             matched += 1
         assert matched >= 10
-
-    def test_incremental_false_uses_recompute(self, capture):
-        """The two constructions give identical results on every tick."""
-        inc = TagBreathe(user_ids={1})
-        plain = TagBreathe(user_ids={1}, incremental=False)
-        for report in capture.reports:
-            inc.feed(report)
-            plain.feed(report)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegradedEstimateWarning)
-            a = inc.estimate_user(1)
-            b = plain.estimate_user(1)
-        assert_same_estimate(a, b)
 
     def test_streamed_equals_batch_process(self, capture):
         """Satellite: feed_many + estimate_user == process over the

@@ -34,7 +34,6 @@ from repro.serve import (
     UserSession,
     encode_frame,
     load_checkpoint,
-    negotiate_codec,
     previous_path,
     report_to_wire,
     save_checkpoint,
@@ -123,11 +122,6 @@ class TestProtocol:
             wire_to_report(message)
         with pytest.raises(ProtocolError):
             wire_to_report({"type": "report"})
-
-    def test_negotiate_codec_falls_back_to_json(self):
-        assert negotiate_codec("json") == "json"
-        assert negotiate_codec("no-such-codec") == "json"
-        assert negotiate_codec(None) == "json"
 
     @pytest.mark.parametrize("depth", [1_000, 50_000])
     def test_deeply_nested_json_is_protocol_error(self, depth):
@@ -857,6 +851,34 @@ class TestServerEndToEnd:
         server, messages = run(scenario())
         assert [m["type"] for m in messages] == ["error"]
         assert "nested too deeply" in messages[0]["message"]
+        assert server.counters["protocol_errors_total"] == 1
+
+    def test_large_non_object_frame_answered_and_counted(self):
+        """A near-limit frame that decodes to a list, not an object:
+        the error reply quotes a bounded prefix, so it still fits in a
+        frame and the peer gets it."""
+        import struct
+
+        payload = b"[" + b"1," * 499_999 + b"1]"
+        assert len(payload) == 1_000_001 < MAX_FRAME_BYTES
+
+        async def scenario():
+            server = BreathServer(port=0)
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            writer.write(struct.pack("!I", len(payload)) + payload)
+            await writer.drain()
+            data = await asyncio.wait_for(reader.read(), timeout=10.0)
+            messages = FrameDecoder().feed(data)
+            writer.close()
+            await server.drain()
+            return server, messages
+
+        server, messages = run(scenario())
+        assert [m["type"] for m in messages] == ["error"]
+        assert "got list" in messages[0]["message"]
+        assert len(messages[0]["message"]) < 200
         assert server.counters["protocol_errors_total"] == 1
 
     def test_reconnects_counted(self):
